@@ -130,7 +130,7 @@ on stdout — see DESIGN.md section 8 for the protocol):
                     within MS into one epoch rebuild + one warm re-solve
                     (last-writer-wins per OD; every request is still
                     acknowledged, with a 'coalesced' batch-size field;
-                    multi-connection serving only; default 0 = off)
+                    default 0 = off)
   --max-conns N     concurrent-connection cap (default 1024); excess
                     connections get one too_many_connections error line
   --idle-timeout-ms MS  drop connections idle longer than MS (default 0 =
@@ -666,9 +666,6 @@ fn cmd_serve(args: &[String], config: &PlacementConfig, obs: &ObsSetup) -> Resul
             .serve(server)
             .map_err(|e| runtime_err(format!("serve: {e}")))?
     } else {
-        if setup.coalesce_ms > 0 {
-            return Err(usage_err("--coalesce-ms requires --tcp or --socket"));
-        }
         let input = std::io::BufReader::new(std::io::stdin());
         let mut output = std::io::stdout();
         daemon
@@ -677,7 +674,7 @@ fn cmd_serve(args: &[String], config: &PlacementConfig, obs: &ObsSetup) -> Resul
     };
     eprintln!(
         "serve: {} requests ({} lock-free reads), {} re-solves, {} shed, {} connections, {}",
-        summary.requests + summary.reads_lockfree,
+        summary.requests,
         summary.reads_lockfree,
         summary.resolves,
         summary.shed,

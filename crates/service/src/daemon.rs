@@ -1,24 +1,28 @@
-//! The daemon event loop: a bounded request queue fed by a reader thread,
-//! one JSON response line per request, graceful shutdown, and an optional
-//! per-event latency report (`BENCH_recover.json` format).
+//! The daemon event loop: one bounded request queue fed by connection
+//! readers, one JSON response line per request, graceful shutdown, and an
+//! optional per-event latency report (`BENCH_recover.json` format).
 //!
-//! Transport-agnostic: [`Daemon::run`] takes any `BufRead` + `Write` pair,
-//! so the same loop serves stdin/stdout pipes, Unix-socket connections
-//! (see `nws serve --socket`), and in-memory test harnesses.
+//! Every transport is a connection of the same loop: [`Daemon::run`]
+//! serves any `BufRead` + `Write` pair (stdin/stdout, in-memory test
+//! harnesses) as one connection, [`Daemon::serve`] the TCP/Unix
+//! listeners' connections (`crate::net`). Each connection answers
+//! read-only commands from the published snapshot unless one of its own
+//! requests is still queued, in which case the read queues behind it.
 //!
-//! Fault tolerance (DESIGN.md §11): every request is handled under
-//! `catch_unwind` with the state cloned beforehand, so a panicking handler
-//! answers an error response and rolls back instead of killing the loop;
-//! store I/O failures downgrade persistence to a *degraded* (non-durable)
-//! mode rather than aborting; and when the bounded queue is full the
-//! reader *sheds* the request with an `overloaded` error plus a
-//! `retry_after_ms` hint instead of back-pressuring the peer forever.
+//! Fault tolerance (DESIGN.md §11): every queued request is handled under
+//! `catch_unwind`; state changes build the next state and swap it in, so
+//! a panicking handler answers an error response with the state exactly
+//! as it was instead of killing the loop. Store I/O failures downgrade
+//! persistence to a *degraded* (non-durable) mode rather than aborting;
+//! and when the bounded queue is full the connection reader *sheds* the
+//! request with an `overloaded` error plus a `retry_after_ms` hint
+//! instead of back-pressuring the peer forever.
 
 use crate::json::{obj, Json};
 use crate::metrics::Metrics;
-use crate::net::{Job, Registry, Server};
+use crate::net::{conn, Job, Registry, Server};
 use crate::persist::{OpenError, PersistConfig, RecoveryReport, StateStore};
-use crate::protocol::{parse_incoming, Incoming, Request};
+use crate::protocol::{Incoming, Request};
 use crate::read_path::{ReadHandle, ReadSnapshot, SnapshotCell};
 use crate::sli::{Kind, RateWindows};
 use crate::state::{ServiceState, SolveReport};
@@ -28,7 +32,8 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Entries the idempotency dedup window retains (FIFO by first commit).
@@ -41,7 +46,7 @@ const DEDUP_WINDOW: usize = 1024;
 #[derive(Debug, Clone, Default)]
 pub struct DaemonOptions {
     /// Bounded request-queue capacity; 0 means the default (64). When the
-    /// queue is full the reader thread *sheds* the request: the peer gets
+    /// queue is full the connection reader *sheds* the request: the peer gets
     /// an immediate `overloaded` error with a `retry_after_ms` hint
     /// instead of silent back-pressure.
     pub queue_capacity: usize,
@@ -66,13 +71,11 @@ pub struct DaemonOptions {
     /// *degraded*; the daemon then escalates (cold retry, then last-good
     /// fallback) rather than blocking the event loop indefinitely.
     pub solve_deadline_ms: Option<u64>,
-    /// Batching window for demand updates in the multi-connection server
-    /// (`--coalesce-ms`): bursts of `update_demand`/`update_demands`
-    /// arriving within the window merge last-writer-wins per OD into one
-    /// epoch rebuild + one warm re-solve; every merged request is still
-    /// acknowledged individually. 0 disables coalescing. The
-    /// single-stream [`Daemon::run`] loop ignores this (strict per-line
-    /// transactional semantics).
+    /// Batching window for demand updates (`--coalesce-ms`): bursts of
+    /// `update_demand`/`update_demands` arriving within the window merge
+    /// last-writer-wins per OD into one epoch rebuild + one warm
+    /// re-solve; every merged request is still acknowledged individually.
+    /// 0 disables coalescing.
     pub coalesce_ms: u64,
 }
 
@@ -139,10 +142,12 @@ impl DedupWindow {
     }
 }
 
-/// What a completed [`Daemon::run`] reports back to the embedder.
+/// What a completed [`Daemon::run`] / [`Daemon::serve`] reports back to
+/// the embedder.
 #[derive(Debug, Clone)]
 pub struct DaemonSummary {
-    /// Requests processed (including malformed lines; excludes shed ones).
+    /// Requests answered, lock-free reads included (malformed lines
+    /// count; shed ones do not).
     pub requests: u64,
     /// Successful event re-solves (including the startup solve).
     pub resolves: u64,
@@ -150,12 +155,11 @@ pub struct DaemonSummary {
     pub shed: u64,
     /// True when the loop ended on an explicit `shutdown`, false on EOF.
     pub clean_shutdown: bool,
-    /// Read-only commands answered from the published snapshot without
-    /// enqueueing (always 0 for the single-stream [`Daemon::run`] loop,
-    /// which routes everything through the queue).
+    /// Of `requests`, the read-only commands answered from the published
+    /// snapshot without enqueueing.
     pub reads_lockfree: u64,
-    /// Connections accepted over the daemon's lifetime (1 for the
-    /// single-stream loop).
+    /// Connections served over the daemon's lifetime (1 for
+    /// [`Daemon::run`]).
     pub connections: u64,
 }
 
@@ -167,10 +171,11 @@ pub struct Daemon {
     metrics: Metrics,
     recorder: Recorder,
     queue_depth: Arc<AtomicU64>,
-    /// Requests shed by the reader thread (it cannot touch `metrics`).
+    /// Requests shed by connection readers: the one shed count behind
+    /// `stats`, `health` and the summary.
     shed_count: Arc<AtomicU64>,
-    /// EWMA of per-request handling latency, stored as f64 bits so the
-    /// reader thread can read it lock-free for `retry_after_ms` hints.
+    /// EWMA of per-request handling latency, stored as f64 bits so
+    /// connection readers can read it lock-free for `retry_after_ms` hints.
     ewma_ms_bits: Arc<AtomicU64>,
     events: Vec<EventRecord>,
     seq: u64,
@@ -182,10 +187,10 @@ pub struct Daemon {
     persistence_degraded: bool,
     /// The error that triggered the downgrade, for `health`.
     persistence_error: Option<String>,
-    /// Resolved queue capacity (fixed at `run` entry), for `health`.
+    /// Resolved queue capacity (fixed at startup), for `health`.
     capacity: usize,
     /// RFC-0019 rate windows behind `health`'s 1s/10s/60s SLIs; shared
-    /// with reader/connection threads.
+    /// with connection threads.
     sli: Arc<RateWindows>,
     /// The atomically-swapped read snapshot (the lock-free read path).
     cell: Arc<SnapshotCell>,
@@ -255,27 +260,22 @@ impl Daemon {
         self.recorder.snapshot()
     }
 
-    /// Fixes the bounded-queue capacity for this serving session.
-    fn resolve_capacity(&mut self) -> usize {
-        let capacity = if self.opts.queue_capacity == 0 {
-            64
-        } else {
-            self.opts.queue_capacity
-        };
-        self.capacity = capacity;
-        capacity
-    }
-
-    /// Shared boot sequence of both event loops: solve deadline,
-    /// instrument pre-registration, durable-store recovery, and the
-    /// startup solve. Returns the `hello` line (with resolve/recovery
-    /// payloads) and leaves `commit_epoch` at 1.
+    /// Boot sequence of every transport: queue capacity, solve deadline,
+    /// instrument pre-registration, durable-store recovery, the startup
+    /// solve, and the first snapshot publication. Returns the stdio
+    /// `hello` line (with resolve/recovery payloads) and leaves
+    /// `commit_epoch` at 1.
     ///
     /// # Errors
     /// [`ServiceError`] if the initial solve fails (an unservable
     /// scenario) or the state directory is held by a live lock / contains
     /// an unreplayable journal. Plain store I/O failures degrade instead.
     fn startup(&mut self) -> Result<Json, ServiceError> {
+        self.capacity = if self.opts.queue_capacity == 0 {
+            64
+        } else {
+            self.opts.queue_capacity
+        };
         if let Some(ms) = self.opts.solve_deadline_ms {
             self.state
                 .set_solve_deadline(Some(Duration::from_millis(ms)));
@@ -349,14 +349,18 @@ impl Daemon {
         if let (Json::Obj(pairs), Some(report)) = (&mut line, &self.recovery) {
             pairs.push(("recovered".to_string(), report.to_json()));
         }
+        self.publish_snapshot();
         Ok(line)
     }
 
-    /// Shared teardown of both event loops: final snapshot on every clean
-    /// exit path, then the bench report and metrics exposition.
-    fn finish(&mut self) -> Result<(), ServiceError> {
-        self.metrics.shed = self.shed_count.load(Ordering::Relaxed);
-
+    /// Teardown of every transport: final snapshot on every clean exit
+    /// path, then the bench report and metrics exposition. Returns the
+    /// summary.
+    fn finish(
+        &mut self,
+        clean_shutdown: bool,
+        connections: u64,
+    ) -> Result<DaemonSummary, ServiceError> {
         // Final snapshot on *every* clean exit path (explicit `shutdown`
         // and input EOF both land here): a clean-stop recovery then loads
         // one snapshot and replays nothing. A failing final snapshot
@@ -378,15 +382,22 @@ impl Daemon {
             std::fs::write(&path, text)
                 .map_err(|e| ServiceError::State(format!("cannot write '{path}': {e}")))?;
         }
-        Ok(())
+        let reads_lockfree = self.reads_lockfree.load(Ordering::Relaxed);
+        Ok(DaemonSummary {
+            requests: self.metrics.requests + reads_lockfree,
+            resolves: self.metrics.resolves,
+            shed: self.shed_count.load(Ordering::Relaxed),
+            clean_shutdown,
+            reads_lockfree,
+            connections,
+        })
     }
 
     /// Publishes the current committed state into the snapshot cell, from
-    /// which connection threads answer the read-only commands. Called
-    /// after every handled request: the epoch only moves on commits, so
+    /// which the read-only commands are answered. Called after every
+    /// handled request: the epoch only moves on commits, so
     /// republications between commits just refresh the counter payloads.
     fn publish_snapshot(&mut self) {
-        self.metrics.shed = self.shed_count.load(Ordering::Relaxed);
         let monitors = match self.state.active_rates() {
             Ok(rates) => Json::Arr(
                 rates
@@ -425,7 +436,8 @@ impl Daemon {
             .counter_add("daemon_snapshot_publications_total", 1);
     }
 
-    /// The shareable read path handed to connection threads.
+    /// The shareable read path handed to connection threads (and used by
+    /// the loop for queued reads).
     fn read_handle(&self) -> ReadHandle {
         ReadHandle {
             cell: Arc::clone(&self.cell),
@@ -443,12 +455,12 @@ impl Daemon {
     /// response line per request (plus a leading `hello` line carrying the
     /// startup solve) to `output`.
     ///
-    /// A spawned reader thread feeds a bounded queue; when the queue is
-    /// full the reader answers `overloaded` directly (the output is
-    /// mutex-shared between the two threads — whole lines only, so the
-    /// stream stays valid JSONL). The caller should close `input` after
-    /// sending `shutdown` (scripts and sockets do this naturally), since
-    /// the reader can only observe the closed queue after its next line.
+    /// The pair is one connection of the event loop, exactly like an
+    /// accepted socket: the same reader answers reads from the snapshot
+    /// and sheds on a full queue, the same writer keeps responses in
+    /// request order. Reading stops once `shutdown` is queued, so `bye` is
+    /// the last line and `run` returns without waiting for `input` to
+    /// close.
     ///
     /// # Errors
     /// I/O errors from `output`, and [`ServiceError`] if the *initial*
@@ -457,162 +469,38 @@ impl Daemon {
     /// failures do *not* abort: the daemon serves on with persistence
     /// degraded (visible in `hello`, `health`, and the metrics
     /// exposition). Per-event solve failures are reported to the peer as
-    /// error responses, not returned; a panicking handler is caught, the
-    /// state rolled back, and an error response sent.
+    /// error responses, not returned; a panicking handler is caught and an
+    /// error response sent, with the state unchanged.
     pub fn run<R, W>(&mut self, input: R, output: &mut W) -> Result<DaemonSummary, ServiceError>
     where
         R: BufRead + Send,
         W: Write + Send,
     {
-        let capacity = self.resolve_capacity();
-        let line = self.startup()?;
-        self.publish_snapshot();
-        let (tx, rx) = mpsc::sync_channel::<Result<Incoming, String>>(capacity);
-
-        // Shared between the consumer (normal responses) and the reader
-        // (shed responses). Each holds the lock for exactly one whole
-        // line + flush, so the output stays line-atomic JSONL.
-        let output = Mutex::new(output);
-        {
-            let mut out = lock_output(&output);
-            writeln!(out, "{}", line.encode()).map_err(ServiceError::io)?;
-            out.flush().map_err(ServiceError::io)?;
-        }
-
-        let mut clean_shutdown = false;
-        let depth = Arc::clone(&self.queue_depth);
-        let shed = Arc::clone(&self.shed_count);
-        let ewma_bits = Arc::clone(&self.ewma_ms_bits);
-        let reader_recorder = self.recorder.clone();
-        let reader_sli = Arc::clone(&self.sli);
-        let out_ref = &output;
-        std::thread::scope(|scope| -> Result<(), ServiceError> {
-            scope.spawn(move || {
-                for line in input.lines() {
-                    let Ok(line) = line else { break };
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    // Increment before the send: the consumer decrements
-                    // after recv, and recv happens-after send, so the
-                    // counter can never underflow.
-                    let d = depth.fetch_add(1, Ordering::Relaxed) + 1;
-                    reader_recorder.gauge_set("daemon_queue_depth", d as f64);
-                    match tx.try_send(parse_incoming(trimmed)) {
-                        Ok(()) => {}
-                        Err(mpsc::TrySendError::Full(_)) => {
-                            // Shed: answer immediately so the peer can
-                            // retry, instead of blocking it behind a
-                            // saturated solver.
-                            let d = depth.fetch_sub(1, Ordering::Relaxed) - 1;
-                            reader_recorder.gauge_set("daemon_queue_depth", d as f64);
-                            shed.fetch_add(1, Ordering::Relaxed);
-                            reader_recorder.counter_add("daemon_overload_shed_total", 1);
-                            reader_sli.record(Kind::Request);
-                            reader_sli.record(Kind::Shed);
-                            let hint = retry_after_ms(
-                                f64::from_bits(ewma_bits.load(Ordering::Relaxed)),
-                                capacity,
-                            );
-                            let resp = obj(vec![
-                                ("ok", Json::Bool(false)),
-                                ("error", Json::Str("overloaded".into())),
-                                ("retry_after_ms", Json::UInt(hint)),
-                            ]);
-                            let mut out = lock_output(out_ref);
-                            if writeln!(out, "{}", resp.encode())
-                                .and_then(|()| out.flush())
-                                .is_err()
-                            {
-                                break; // peer gone: stop reading
-                            }
-                        }
-                        Err(mpsc::TrySendError::Disconnected(_)) => {
-                            break; // queue closed: daemon is shutting down
-                        }
-                    }
-                }
-            });
-            while let Ok(item) = rx.recv() {
-                let d = self.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
-                self.recorder.gauge_set("daemon_queue_depth", d as f64);
-                self.seq += 1;
-                let cmd: &'static str = match &item {
-                    Ok(inc) => inc.req.name(),
-                    Err(_) => "invalid",
-                };
-                self.sli.record(Kind::Request);
-                match &item {
-                    Ok(inc) if inc.req.is_mutating() => self.sli.record(Kind::Mutate),
-                    Ok(inc) if inc.req.is_read_only() => self.sli.record(Kind::Read),
-                    _ => {}
-                }
-                let t0 = Instant::now();
-                // Panic isolation: clone-before, catch, restore-on-unwind.
-                // A handler that panics (solver bug, hostile input past
-                // validation) answers an error response and leaves the
-                // state exactly as it was; the loop keeps serving.
-                let backup = self.state.clone();
-                let (response, is_shutdown) =
-                    match catch_unwind(AssertUnwindSafe(|| self.handle(item))) {
-                        Ok(pair) => pair,
-                        Err(payload) => {
-                            self.state = backup;
-                            self.metrics.record_error();
-                            self.recorder.counter_add("daemon_request_panics", 1);
-                            let msg = panic_message(payload.as_ref());
-                            (
-                                self.error_response(
-                                    None,
-                                    &format!("internal panic (state rolled back): {msg}"),
-                                ),
-                                false,
-                            )
-                        }
-                    };
-                let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-                self.recorder
-                    .observe_labeled("daemon_command_latency_ms", "cmd", cmd, elapsed_ms);
-                self.update_ewma(elapsed_ms);
-                if response.get("ok").and_then(Json::as_bool) == Some(false) {
-                    self.sli.record(Kind::Error);
-                }
-                self.publish_snapshot();
-                {
-                    let mut out = lock_output(out_ref);
-                    writeln!(out, "{}", response.encode()).map_err(ServiceError::io)?;
-                    out.flush().map_err(ServiceError::io)?;
-                }
-                if is_shutdown {
-                    clean_shutdown = true;
-                    break;
-                }
-            }
-            Ok(())
-        })?;
-        self.finish()?;
-        Ok(DaemonSummary {
-            requests: self.metrics.requests,
-            resolves: self.metrics.resolves,
-            shed: self.metrics.shed,
-            clean_shutdown,
-            reads_lockfree: 0,
-            connections: 1,
-        })
+        let hello = self.startup()?;
+        let mut written = Ok(());
+        let clean_shutdown = self.event_loop(
+            |scope, jobs, read| {
+                let (lane, responses) = conn::lane(hello);
+                let written = &mut written;
+                scope.spawn(move || *written = conn::run_writer(output, responses));
+                scope.spawn(move || conn::run_reader(input, &read, &jobs, lane));
+            },
+            || {},
+        );
+        let summary = self.finish(clean_shutdown, 1)?;
+        written.map_err(ServiceError::io)?;
+        Ok(summary)
     }
 
     /// Serves the multi-connection transports (`nws serve --tcp/--socket`)
     /// until a `shutdown` request or the last listener dies.
     ///
-    /// Per connection, a reader thread answers read-only commands straight
-    /// from the published [`ReadSnapshot`] (never enqueueing) and funnels
-    /// everything else into the bounded queue this loop drains; a writer
-    /// thread preserves per-connection FIFO response order. With a
-    /// non-zero `--coalesce-ms`, bursts of `update_demand`/`update_demands`
-    /// are merged last-writer-wins per OD into one epoch rebuild + one
-    /// warm re-solve; every merged request is still acknowledged
-    /// individually (with a `coalesced` batch-size field).
+    /// Every accepted connection gets a reader and a writer thread (see
+    /// `crate::net`); with a non-zero `--coalesce-ms`, bursts of
+    /// `update_demand`/`update_demands` are merged last-writer-wins per OD
+    /// into one epoch rebuild + one warm re-solve, and every merged
+    /// request is still acknowledged individually (with a `coalesced`
+    /// batch-size field).
     ///
     /// `shutdown` from any connection drains and closes *all* connections:
     /// the issuer gets its `bye`, accepting stops, every reader is woken,
@@ -623,27 +511,52 @@ impl Daemon {
     /// Same startup/teardown contract as [`Daemon::run`]; per-connection
     /// socket errors only ever drop that connection.
     pub fn serve(&mut self, server: Server) -> Result<DaemonSummary, ServiceError> {
-        self.resolve_capacity();
-        let capacity = self.capacity;
-        // The hello line becomes per-connection here (from the read path);
-        // the startup solve and recovery still happen exactly once.
-        let _ = self.startup()?;
-        self.publish_snapshot();
-        let (tx, rx) = mpsc::sync_channel::<Job>(capacity);
+        // The hello line is per-connection here (from the read path); the
+        // startup solve and recovery still happen exactly once.
+        self.startup()?;
         let shutting_down = Arc::new(AtomicBool::new(false));
         let registry = Arc::new(Registry::new());
+        let clean_shutdown = self.event_loop(
+            |scope, jobs, read| {
+                crate::net::spawn_acceptors(
+                    scope,
+                    server,
+                    jobs,
+                    read,
+                    Arc::clone(&registry),
+                    Arc::clone(&shutting_down),
+                );
+            },
+            || {
+                // Drain-and-close: stop accepting, wake every blocked
+                // reader (EOF on their read side); the loop keeps
+                // answering what was already queued until the last
+                // sender drops.
+                shutting_down.store(true, Ordering::SeqCst);
+                registry.close_read_sides();
+            },
+        );
+        self.finish(clean_shutdown, registry.opened())
+    }
+
+    /// The one event loop behind every transport. `open` starts the
+    /// connections inside the serving scope — the stdio pair, or the
+    /// listeners' acceptors — handing them the job queue and the read
+    /// path; `close` runs once the first `shutdown` is answered. The loop
+    /// drains the queue until every sender is gone and returns whether it
+    /// ended on `shutdown`.
+    fn event_loop<'env>(
+        &mut self,
+        open: impl for<'scope> FnOnce(&'scope Scope<'scope, 'env>, mpsc::SyncSender<Job>, ReadHandle),
+        close: impl Fn(),
+    ) -> bool {
+        let (tx, rx) = mpsc::sync_channel::<Job>(self.capacity);
+        let read = self.read_handle();
         let window = Duration::from_millis(self.opts.coalesce_ms);
         let mut clean_shutdown = false;
         let mut depth_max = 0u64;
         std::thread::scope(|scope| {
-            crate::net::spawn_acceptors(
-                scope,
-                server,
-                tx,
-                self.read_handle(),
-                Arc::clone(&registry),
-                Arc::clone(&shutting_down),
-            );
+            open(scope, tx, read.clone());
             let mut buf = CoalesceBuffer::default();
             loop {
                 // With a non-empty coalesce buffer, wait only until its
@@ -677,80 +590,68 @@ impl Daemon {
                     .gauge_set("daemon_queue_depth_max", depth_max as f64);
                 self.recorder.counter_add("daemon_jobs_enqueued_total", 1);
                 self.sli.record(Kind::Request);
-                if let Ok(inc) = &item {
-                    if inc.req.is_mutating() {
-                        self.sli.record(Kind::Mutate);
-                    }
+                match &item {
+                    Ok(inc) if inc.req.is_mutating() => self.sli.record(Kind::Mutate),
+                    Ok(inc) if inc.req.is_read_only() => self.sli.record(Kind::Read),
+                    _ => {}
                 }
                 // Coalescable? Buffer it and keep receiving. (Never during
                 // shutdown drain: those must resolve before the loop ends.)
-                if !window.is_zero() && !shutting_down.load(Ordering::SeqCst) {
-                    if let Ok(inc) = &item {
-                        if matches!(
-                            inc.req,
-                            Request::UpdateDemand { .. } | Request::UpdateDemands { .. }
-                        ) {
-                            let inc = inc.clone();
-                            self.buffer_coalesced(&mut buf, inc, reply, window);
-                            continue;
-                        }
+                let item = match item {
+                    Ok(inc)
+                        if !window.is_zero()
+                            && !clean_shutdown
+                            && matches!(
+                                inc.req,
+                                Request::UpdateDemand { .. } | Request::UpdateDemands { .. }
+                            ) =>
+                    {
+                        self.buffer_coalesced(&mut buf, inc, reply, window);
+                        continue;
                     }
-                }
+                    item => item,
+                };
                 // Ordering barrier: a non-coalescable request observes all
                 // buffered updates as committed.
                 self.flush_coalesced(&mut buf);
-                self.seq += 1;
                 let cmd: &'static str = match &item {
                     Ok(inc) => inc.req.name(),
                     Err(_) => "invalid",
                 };
                 let t0 = Instant::now();
-                let backup = self.state.clone();
-                let (response, is_shutdown) =
-                    match catch_unwind(AssertUnwindSafe(|| self.handle(item))) {
-                        Ok(pair) => pair,
-                        Err(payload) => {
-                            self.state = backup;
+                let (response, is_shutdown) = match item {
+                    // A read queued behind its own connection's request:
+                    // counted, published, then answered by the lock-free
+                    // path's code, so its bytes match a lock-free answer.
+                    Ok(inc) if inc.req.is_read_only() => {
+                        self.metrics.record_request(cmd);
+                        self.publish_snapshot();
+                        let response = read.answer(&inc.req);
+                        self.record_latency(cmd, t0);
+                        (with_request_id(response, inc.request_id.as_deref()), false)
+                    }
+                    item => {
+                        self.seq += 1;
+                        let pair = self.isolated(|d| d.handle(item)).unwrap_or_else(|msg| {
                             self.metrics.record_error();
-                            self.recorder.counter_add("daemon_request_panics", 1);
-                            let msg = panic_message(payload.as_ref());
-                            (
-                                self.error_response(
-                                    None,
-                                    &format!("internal panic (state rolled back): {msg}"),
-                                ),
-                                false,
-                            )
-                        }
-                    };
-                let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-                self.recorder
-                    .observe_labeled("daemon_command_latency_ms", "cmd", cmd, elapsed_ms);
-                self.update_ewma(elapsed_ms);
-                if response.get("ok").and_then(Json::as_bool) == Some(false) {
+                            (self.error_response(None, &msg), false)
+                        });
+                        self.record_latency(cmd, t0);
+                        self.publish_snapshot();
+                        pair
+                    }
+                };
+                if !response_ok(&response) {
                     self.sli.record(Kind::Error);
                 }
-                self.publish_snapshot();
                 let _ = reply.send(response);
                 if is_shutdown && !clean_shutdown {
                     clean_shutdown = true;
-                    // Drain-and-close: stop accepting, wake every blocked
-                    // reader (EOF on their read side), keep answering what
-                    // was already queued until the last sender drops.
-                    shutting_down.store(true, Ordering::SeqCst);
-                    registry.close_read_sides();
+                    close();
                 }
             }
         });
-        self.finish()?;
-        Ok(DaemonSummary {
-            requests: self.metrics.requests,
-            resolves: self.metrics.resolves,
-            shed: self.metrics.shed,
-            clean_shutdown,
-            reads_lockfree: self.reads_lockfree.load(Ordering::Relaxed),
-            connections: registry.opened(),
-        })
+        clean_shutdown
     }
 
     /// Buffers one coalescable demand update. OD names are validated *now*
@@ -822,21 +723,14 @@ impl Daemon {
         self.recorder
             .counter_add("daemon_coalesced_updates_total", batch_size);
         let t0 = Instant::now();
-        let backup = self.state.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.state.apply_event(&batch, self.opts.shadow_cold)
-        }));
-        let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
-        self.recorder.observe_labeled(
-            "daemon_command_latency_ms",
-            "cmd",
-            "coalesced_flush",
-            elapsed_ms,
-        );
-        self.update_ewma(elapsed_ms);
+        let shadow = self.opts.shadow_cold;
+        let outcome = self
+            .isolated(|d| d.state.apply_event(&batch, shadow))
+            .and_then(|result| result.map_err(|e| e.to_string()));
+        self.record_latency("coalesced_flush", t0);
         let mut acks: Vec<(mpsc::Sender<Json>, Json)> = Vec::with_capacity(replies.len());
         match outcome {
-            Ok(Ok(report)) => {
+            Ok(report) => {
                 // The batch's journal record carries every merged
                 // request_id, so a crash between journal and ack still
                 // recovers the ids into the dedup window.
@@ -866,30 +760,13 @@ impl Daemon {
                     acks.push((reply, response));
                 }
             }
-            Ok(Err(e)) => {
+            Err(msg) => {
                 // Validated sizes can still fail the solve (e.g. an
-                // infeasible θ after the merge); the whole batch reports
-                // the same error and the state stays untouched (apply_event
-                // is transactional). Errors never enter the dedup window —
-                // the client may retry them for real.
-                let msg = e.to_string();
-                for (inc, reply) in replies {
-                    self.metrics.record_error();
-                    self.sli.record(Kind::Error);
-                    let response = with_request_id(
-                        self.error_response(Some(&inc.req), &msg),
-                        inc.request_id.as_deref(),
-                    );
-                    acks.push((reply, response));
-                }
-            }
-            Err(payload) => {
-                self.state = backup;
-                self.recorder.counter_add("daemon_request_panics", 1);
-                let msg = format!(
-                    "internal panic (state rolled back): {}",
-                    panic_message(payload.as_ref())
-                );
+                // infeasible θ after the merge), and a panic unwinds out
+                // of `apply_event` before its swap: the whole batch
+                // reports the same error and the state stays untouched.
+                // Errors never enter the dedup window — the client may
+                // retry them for real.
                 for (inc, reply) in replies {
                     self.metrics.record_error();
                     self.sli.record(Kind::Error);
@@ -911,10 +788,27 @@ impl Daemon {
         }
     }
 
-    /// Folds one handling latency into the EWMA (α = 0.2) behind the
-    /// shedder's `retry_after_ms` hint. Single writer (the event loop), so
-    /// load/store need no compare-exchange loop.
-    fn update_ewma(&self, elapsed_ms: f64) {
+    /// Runs one handler under panic isolation. No copy of the state is
+    /// taken: every state change builds the next state and swaps it in
+    /// (see `apply_event`), so an unwinding handler leaves the state
+    /// exactly as it was. The panic comes back as the error to answer.
+    fn isolated<T>(&mut self, handler: impl FnOnce(&mut Self) -> T) -> Result<T, String> {
+        catch_unwind(AssertUnwindSafe(|| handler(self))).map_err(|payload| {
+            self.recorder.counter_add("daemon_request_panics", 1);
+            format!(
+                "internal panic (state rolled back): {}",
+                panic_message(payload.as_ref())
+            )
+        })
+    }
+
+    /// Records one handling latency under `cmd` and folds it into the EWMA
+    /// (α = 0.2) behind the shedder's `retry_after_ms` hint. Single writer
+    /// (the event loop), so load/store need no compare-exchange loop.
+    fn record_latency(&self, cmd: &'static str, since: Instant) {
+        let elapsed_ms = since.elapsed().as_secs_f64() * 1e3;
+        self.recorder
+            .observe_labeled("daemon_command_latency_ms", "cmd", cmd, elapsed_ms);
         let prev = f64::from_bits(self.ewma_ms_bits.load(Ordering::Relaxed));
         let next = if prev == 0.0 {
             elapsed_ms
@@ -997,8 +891,6 @@ impl Daemon {
     /// request echoes the id back, and committed state-changing acks are
     /// remembered for future replays.
     fn handle(&mut self, item: Result<Incoming, String>) -> (Json, bool) {
-        // Fold reader-side sheds in so `stats`/`health` are current.
-        self.metrics.shed = self.shed_count.load(Ordering::Relaxed);
         let inc = match item {
             Ok(inc) => inc,
             Err(msg) => {
@@ -1051,187 +943,69 @@ impl Daemon {
 
     /// Dispatches one parsed request to the state machine; `ids` are the
     /// idempotency keys to journal alongside a committed state change.
+    /// Read-only requests never get here: the event loop answers them
+    /// from the snapshot.
     fn dispatch(&mut self, req: Request, ids: &[&str]) -> (Json, bool) {
-        if req.is_mutating() {
-            let outcome = self.state.apply_event(&req, self.opts.shadow_cold);
-            return match outcome {
-                Ok(report) => {
-                    // Journal before acknowledging. `ok` means the event
-                    // is *applied and being served*; it is durable only
-                    // while `health` reports persistence "durable" — a
-                    // journal failure flips that to "degraded" instead of
-                    // un-applying the event.
-                    self.journal(&req, ids);
-                    self.note_resolve(req.name(), &report);
-                    self.commit_epoch += 1;
-                    (
-                        self.ok_response(
-                            &req,
-                            vec![
-                                ("epoch", Json::UInt(self.commit_epoch)),
-                                ("resolve", resolve_json(&report)),
-                            ],
-                        ),
-                        false,
-                    )
-                }
-                Err(e) => {
-                    self.metrics.record_error();
-                    (self.error_response(Some(&req), &e.to_string()), false)
-                }
-            };
-        }
-        match &req {
-            Request::Ping => (
-                self.ok_response(&req, vec![("pong", Json::Bool(true))]),
-                false,
-            ),
-            Request::Health => {
-                let serving_uncertified = self.state.installed().is_some_and(|i| !i.kkt);
-                let status = if self.persistence_degraded || serving_uncertified {
-                    "degraded"
-                } else {
-                    "ok"
-                };
-                let now_s = self.sli.now_s();
-                let (level, reasons) = self.sli.classify_at(now_s);
-                self.sli.export_gauges(&self.recorder);
-                let mut payload = vec![
-                    ("status", Json::Str(status.into())),
-                    ("sli", Json::Str(level.as_str().into())),
-                    (
-                        "sli_reasons",
-                        Json::Arr(reasons.iter().map(|r| Json::Str((*r).into())).collect()),
-                    ),
-                    ("persistence", Json::Str(self.persistence_mode().into())),
-                    ("serving_uncertified", Json::Bool(serving_uncertified)),
-                    ("degraded_solves", Json::UInt(self.metrics.degraded_solves)),
-                    (
-                        "last_good_fallbacks",
-                        Json::UInt(self.metrics.last_good_fallbacks),
-                    ),
-                    ("shed", Json::UInt(self.metrics.shed)),
-                    (
-                        "queue_depth",
-                        Json::UInt(self.queue_depth.load(Ordering::Relaxed)),
-                    ),
-                    ("queue_capacity", Json::UInt(self.capacity as u64)),
-                    ("rates", self.sli.rates_json_at(now_s)),
-                ];
-                if let Some(why) = &self.persistence_error {
-                    payload.push(("persistence_error", Json::Str(why.clone())));
-                }
-                (self.ok_response(&req, payload), false)
+        let payload = match &req {
+            // Journal before acknowledging. `ok` means the event is
+            // *applied and being served*; it is durable only while
+            // `health` reports persistence "durable" — a journal failure
+            // flips that to "degraded" instead of un-applying the event.
+            req if req.is_mutating() => {
+                self.state
+                    .apply_event(req, self.opts.shadow_cold)
+                    .map(|report| {
+                        self.journal(req, ids);
+                        self.note_resolve(req.name(), &report);
+                        self.commit_epoch += 1;
+                        vec![
+                            ("epoch", Json::UInt(self.commit_epoch)),
+                            ("resolve", resolve_json(&report)),
+                        ]
+                    })
             }
-            Request::QueryRates => match self.state.active_rates() {
-                Ok(rates) => {
-                    let monitors = Json::Arr(
-                        rates
-                            .iter()
-                            .map(|(label, p)| {
-                                obj(vec![
-                                    ("link", Json::Str(label.clone())),
-                                    ("rate", Json::Num(*p)),
-                                ])
-                            })
-                            .collect(),
-                    );
-                    let objective = self
-                        .state
-                        .installed()
-                        .map_or(Json::Null, |i| Json::Num(i.objective));
-                    (
-                        self.ok_response(
-                            &req,
-                            vec![
-                                ("theta", Json::Num(self.state.theta())),
-                                ("objective", objective),
-                                ("monitors", monitors),
-                            ],
-                        ),
-                        false,
-                    )
-                }
-                Err(e) => {
-                    self.metrics.record_error();
-                    (self.error_response(Some(&req), &e.to_string()), false)
-                }
-            },
-            Request::QueryAccuracy { runs, seed } => match self.state.accuracy(*runs, *seed) {
-                Ok((mean, worst, best)) => (
-                    self.ok_response(
-                        &req,
+            Request::QueryAccuracy { runs, seed } => {
+                self.state
+                    .accuracy(*runs, *seed)
+                    .map(|(mean, worst, best)| {
                         vec![
                             ("mean", Json::Num(mean)),
                             ("worst", Json::Num(worst)),
                             ("best", Json::Num(best)),
-                        ],
-                    ),
-                    false,
-                ),
-                Err(e) => {
-                    self.metrics.record_error();
-                    (self.error_response(Some(&req), &e.to_string()), false)
-                }
-            },
+                        ]
+                    })
+            }
             Request::Snapshot => {
                 let depth = self.state.snapshot();
                 self.journal(&req, ids);
-                (
-                    self.ok_response(&req, vec![("depth", Json::Num(depth as f64))]),
-                    false,
-                )
+                Ok(vec![("depth", Json::Num(depth as f64))])
             }
-            Request::Rollback => match self.state.rollback() {
-                Ok((depth, objective)) => {
-                    self.journal(&req, ids);
-                    // A rollback swaps the installed rates: a committed
-                    // state change, so readers get a new epoch.
-                    self.commit_epoch += 1;
-                    (
-                        self.ok_response(
-                            &req,
-                            vec![
-                                ("epoch", Json::UInt(self.commit_epoch)),
-                                ("depth", Json::Num(depth as f64)),
-                                ("objective", objective.map_or(Json::Null, Json::Num)),
-                            ],
-                        ),
-                        false,
-                    )
-                }
-                Err(e) => {
-                    self.metrics.record_error();
-                    (self.error_response(Some(&req), &e.to_string()), false)
-                }
-            },
-            Request::Stats => (
-                self.ok_response(&req, vec![("stats", self.metrics.to_json())]),
-                false,
-            ),
-            Request::Metrics => {
-                let mut metrics = metrics_json(&self.recorder.snapshot());
-                if let Json::Obj(pairs) = &mut metrics {
-                    let wal = self
-                        .store
-                        .as_ref()
-                        .map_or(Json::Null, StateStore::wal_stats_json);
-                    pairs.push(("wal_stats".to_string(), wal));
-                }
-                (self.ok_response(&req, vec![("metrics", metrics)]), false)
+            Request::Rollback => self.state.rollback().map(|(depth, objective)| {
+                self.journal(&req, ids);
+                // A rollback swaps the installed rates: a committed state
+                // change, so readers get a new epoch.
+                self.commit_epoch += 1;
+                vec![
+                    ("epoch", Json::UInt(self.commit_epoch)),
+                    ("depth", Json::Num(depth as f64)),
+                    ("objective", objective.map_or(Json::Null, Json::Num)),
+                ]
+            }),
+            Request::Shutdown => {
+                let payload = vec![
+                    ("bye", Json::Bool(true)),
+                    ("resolves", Json::Num(self.metrics.resolves as f64)),
+                ];
+                return (self.ok_response(&req, payload), true);
             }
-            Request::Shutdown => (
-                self.ok_response(
-                    &req,
-                    vec![
-                        ("bye", Json::Bool(true)),
-                        ("resolves", Json::Num(self.metrics.resolves as f64)),
-                    ],
-                ),
-                true,
-            ),
-            // Mutating variants were dispatched above.
-            _ => unreachable!("mutating request in query path"),
+            _ => unreachable!("read-only request in the dispatch path"),
+        };
+        match payload {
+            Ok(payload) => (self.ok_response(&req, payload), false),
+            Err(e) => {
+                self.metrics.record_error();
+                (self.error_response(Some(&req), &e.to_string()), false)
+            }
         }
     }
 
@@ -1328,19 +1102,6 @@ impl Daemon {
     }
 }
 
-/// Locks the shared output; a poisoned mutex is fine to reuse, because
-/// holders only ever write whole lines (a panic mid-`writeln` can at
-/// worst truncate the final line, which readers already tolerate).
-fn lock_output<'m, 'w, W>(output: &'m Mutex<&'w mut W>) -> std::sync::MutexGuard<'m, &'w mut W>
-where
-    W: Write + ?Sized,
-{
-    match output.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// The shedder's backoff hint: roughly one queue-drain at the observed
 /// per-request latency, clamped to [10 ms, 30 s].
 pub(crate) fn retry_after_ms(ewma_ms: f64, capacity: usize) -> u64 {
@@ -1361,7 +1122,7 @@ fn percentile(values: &[f64], q: f64) -> Option<f64> {
 /// Echoes the client's `request_id` back on a response object (no-op when
 /// the request carried none). The id is appended *before* the ack enters
 /// the dedup window, so a replayed ack is byte-identical to the original.
-fn with_request_id(mut response: Json, request_id: Option<&str>) -> Json {
+pub(crate) fn with_request_id(mut response: Json, request_id: Option<&str>) -> Json {
     if let (Json::Obj(pairs), Some(id)) = (&mut response, request_id) {
         pairs.push(("request_id".to_string(), Json::Str(id.to_string())));
     }
@@ -1794,13 +1555,17 @@ mod tests {
 
     #[test]
     fn flood_answers_every_request_ok_or_overloaded() {
-        // 300 pings into a 2-slot queue: some are shed, but every single
-        // line gets exactly one response, and shed responses carry a
-        // clamped retry hint. (How many shed is timing-dependent; the
+        // 300 re-solving requests into a 2-slot queue: reads would go
+        // lock-free and never be shed, so the flood uses a command that
+        // always queues. Some are shed, but every single line gets exactly
+        // one response, and shed responses carry a clamped retry hint and
+        // echo their request_id. (How many shed is timing-dependent; the
         // answered-count invariant is not.)
         let mut script = String::new();
-        for _ in 0..300 {
-            script.push_str("{\"cmd\":\"ping\"}\n");
+        for i in 0..300 {
+            script.push_str(&format!(
+                "{{\"cmd\":\"set_theta\",\"theta\":80000,\"request_id\":\"f{i}\"}}\n"
+            ));
         }
         script.push_str("{\"cmd\":\"shutdown\"}\n");
         let (lines, summary) = run_script(
@@ -1812,16 +1577,21 @@ mod tests {
         );
         assert_eq!(summary.requests + summary.shed, 301);
         assert_eq!(lines.len() as u64, 1 + summary.requests + summary.shed);
-        for line in &lines {
-            let shed = line
-                .get("error")
-                .is_some_and(|e| e.as_str() == Some("overloaded"));
-            if shed {
+        let mut shed = 0;
+        for (i, line) in lines[1..301].iter().enumerate() {
+            if line.get("error").and_then(Json::as_str) == Some("overloaded") {
+                shed += 1;
                 let hint = line.get("retry_after_ms").unwrap().as_u64().unwrap();
                 assert!((10..=30_000).contains(&hint), "hint {hint}");
                 assert!(line.get("seq").is_none(), "shed responses carry no seq");
+                assert_eq!(
+                    line.get("request_id").and_then(Json::as_str),
+                    Some(format!("f{i}").as_str()),
+                    "shed replies echo their request_id"
+                );
             }
         }
+        assert!(shed >= 1, "a 2-slot queue under a 300-line flood sheds");
     }
 
     #[test]

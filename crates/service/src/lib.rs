@@ -4,7 +4,7 @@
 //! The daemon owns mutable network state — topology, tracked demand, the
 //! sampling budget θ, and the currently installed rate configuration — and
 //! processes a JSON-lines protocol (one request object per line, one
-//! response object per line) over stdin/stdout or a Unix socket. Every
+//! response object per line) over stdin/stdout, TCP, or Unix sockets. Every
 //! mutating event (demand update, link failure/restore, OD add/remove,
 //! θ change) triggers an incremental re-solve warm-started from the
 //! previous optimum, re-projected onto the new feasible set; responses
@@ -20,16 +20,19 @@
 //! - [`persist`] — durable state: journals state-changing commands into an
 //!   `nws-store` write-ahead log, snapshots periodically and on exit, and
 //!   recovers (snapshot + deterministic replay) on boot.
-//! - [`daemon`] — the event loop ([`daemon::Daemon::run`]); also runs an
+//! - [`daemon`] — the one event loop behind every transport
+//!   ([`daemon::Daemon::run`] serves a stdin/stdout pair as one connection,
+//!   [`daemon::Daemon::serve`] the listeners' connections); also runs an
 //!   always-on `nws-obs` recorder (per-command latency histograms, warm/cold
 //!   re-solve latency, queue depth, solver spans) behind the `metrics`
 //!   command and the `--metrics-out` exposition.
-//! - [`net`] — the multi-client serving layer ([`daemon::Daemon::serve`]):
-//!   TCP/Unix listeners, per-connection reader/writer threads, connection
-//!   limits, idle timeouts.
-//! - [`read_path`] — the lock-free read path: an atomically-swapped
-//!   immutable [`read_path::ReadSnapshot`] from which connection threads
-//!   answer read-only commands without touching the solve queue.
+//! - [`net`] — connections: TCP/Unix listeners, connection limits, idle
+//!   timeouts, and the per-connection reader/writer threads every
+//!   transport (stdio included) runs.
+//! - [`read_path`] — the read path: an atomically-swapped immutable
+//!   [`read_path::ReadSnapshot`] from which connection threads answer
+//!   read-only commands lock-free, and the event loop answers reads
+//!   queued behind their own connection's request, with the same code.
 //! - [`sli`] — RFC-0019-style SLI rate windows (1s/10s/60s request, shed,
 //!   and degraded-solve rates with OK/WARN/CRIT classification) behind the
 //!   extended `health` payload.

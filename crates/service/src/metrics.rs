@@ -7,7 +7,8 @@ use crate::state::SolveReport;
 /// Monotone counters accumulated over a daemon's lifetime.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    /// Requests received (well-formed or not).
+    /// Requests the event loop handled (well-formed or not); lock-free
+    /// reads are counted by the read path.
     pub requests: u64,
     /// Requests that produced an error response.
     pub errors: u64,
@@ -37,8 +38,6 @@ pub struct Metrics {
     /// Degraded re-solves that fell back to the previously installed
     /// (last-good) rates instead of installing an uncertified vector.
     pub last_good_fallbacks: u64,
-    /// Requests rejected by the overload shedder (bounded queue full).
-    pub shed: u64,
     /// Per-command request counts, in first-seen order.
     pub per_command: Vec<(String, u64)>,
 }
@@ -81,11 +80,6 @@ impl Metrics {
         if report.fallback == Some("last_good") {
             self.last_good_fallbacks += 1;
         }
-    }
-
-    /// Counts one request rejected by the overload shedder.
-    pub fn record_shed(&mut self) {
-        self.shed += 1;
     }
 
     /// Mean iterations saved per warm re-solve versus its shadow cold
@@ -136,7 +130,6 @@ impl Metrics {
             ),
             ("degraded_solves", Json::UInt(self.degraded_solves)),
             ("last_good_fallbacks", Json::UInt(self.last_good_fallbacks)),
-            ("shed", Json::UInt(self.shed)),
             ("per_command", per_command),
         ])
     }
@@ -176,14 +169,11 @@ mod tests {
         m.record_resolve(&r);
         r.fallback = Some("last_good");
         m.record_resolve(&r);
-        m.record_shed();
         assert_eq!(m.degraded_solves, 2);
         assert_eq!(m.last_good_fallbacks, 1);
-        assert_eq!(m.shed, 1);
         let encoded = m.to_json().encode();
         assert!(encoded.contains("\"degraded_solves\":2"), "{encoded}");
         assert!(encoded.contains("\"last_good_fallbacks\":1"), "{encoded}");
-        assert!(encoded.contains("\"shed\":1"), "{encoded}");
     }
 
     #[test]

@@ -1,26 +1,34 @@
-//! Per-connection reader/writer thread pair.
+//! Per-connection reader/writer thread pair, over any transport.
 //!
-//! The reader parses JSON lines off the socket. Read-only commands are
+//! The reader parses JSON lines off the input. A read-only command is
 //! answered immediately from the published snapshot ([`ReadHandle`]) and
-//! handed to the writer as a resolved slot; everything else is enqueued on
-//! the daemon's bounded job queue with a per-request reply channel, handed
-//! to the writer as a *pending* slot. The writer drains slots strictly in
-//! order, blocking on pending replies — per-connection FIFO holds, while a
-//! pure-read connection never waits on another connection's solve.
+//! handed to the writer as a resolved slot — unless this connection still
+//! has a queued request unanswered, in which case the read queues behind
+//! it. Everything else is enqueued on the daemon's bounded job queue with
+//! a per-request reply channel, handed to the writer as a *pending* slot.
+//! The writer drains slots strictly in order, blocking on pending replies:
+//! per-connection FIFO holds, a read observes every earlier request of its
+//! own connection, and a pure-read connection never waits on another
+//! connection's solve.
+//!
+//! Accepted sockets ([`spawn_connection`]) and the stdio pair
+//! ([`crate::Daemon::run`]) run the same [`run_reader`] / [`run_writer`].
 //!
 //! Hostile-peer bounds (DESIGN.md §15): request lines are capped at
 //! [`MAX_LINE_BYTES`] (a client streaming bytes with no `\n` gets a typed
-//! error and the door), and response writes run under `SO_SNDTIMEO` — a
-//! peer that stops reading long enough to stall one write is *evicted*
-//! (`daemon_slow_client_evictions_total`), freeing the thread pair, the
-//! fd, and the `--max-conns` slot.
+//! error and the door), and socket response writes run under
+//! `SO_SNDTIMEO` — a peer that stops reading long enough to stall one
+//! write is *evicted* (`daemon_slow_client_evictions_total`), freeing the
+//! thread pair, the fd, and the `--max-conns` slot.
 
+use crate::daemon::with_request_id;
 use crate::json::{obj, Json};
 use crate::net::{Job, NetOptions, Registry, Stream};
+use crate::protocol::Request;
 use crate::read_path::ReadHandle;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::Shutdown;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
@@ -42,6 +50,37 @@ enum Slot {
     Ready(Json),
     /// Will be answered by the event loop via this channel.
     Pending(mpsc::Receiver<Json>),
+}
+
+/// The reader's end of a connection's response lane.
+pub(crate) struct Lane {
+    slots: mpsc::SyncSender<Slot>,
+    /// Queued requests whose replies the writer has not taken yet.
+    in_flight: Arc<AtomicUsize>,
+}
+
+/// The writer's end of a connection's response lane.
+pub(crate) struct Responses {
+    slots: mpsc::Receiver<Slot>,
+    in_flight: Arc<AtomicUsize>,
+}
+
+/// Opens one connection's response lane, with `greeting` as its first
+/// line.
+pub(crate) fn lane(greeting: Json) -> (Lane, Responses) {
+    let (tx, rx) = mpsc::sync_channel::<Slot>(SLOT_BACKLOG);
+    let _ = tx.send(Slot::Ready(greeting));
+    let in_flight = Arc::new(AtomicUsize::new(0));
+    (
+        Lane {
+            slots: tx,
+            in_flight: Arc::clone(&in_flight),
+        },
+        Responses {
+            slots: rx,
+            in_flight,
+        },
+    )
 }
 
 /// The connection's registry slot, held (via `Arc`) by BOTH threads of
@@ -69,7 +108,7 @@ impl Drop for SlotGuard {
 /// Spawns the reader and writer threads for one accepted connection.
 pub(crate) fn spawn_connection<'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
-    stream: Stream,
+    mut stream: Stream,
     opts: &NetOptions,
     jobs: mpsc::SyncSender<Job>,
     read: ReadHandle,
@@ -104,18 +143,22 @@ pub(crate) fn spawn_connection<'scope>(
         id,
     });
 
-    let (slot_tx, slot_rx) = mpsc::sync_channel::<Slot>(SLOT_BACKLOG);
-    // Greet before the first request, like the single-stream transports.
-    let _ = slot_tx.send(Slot::Ready(read.hello()));
+    let (lane, responses) = lane(read.hello());
     let writer_guard = Arc::clone(&guard);
-    let writer_recorder = read.recorder.clone();
+    let recorder = read.recorder.clone();
     scope.spawn(move || {
-        run_writer(stream, slot_rx, &writer_recorder);
+        if let Err(e) = run_writer(&mut stream, responses) {
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
+                recorder.counter_add("daemon_slow_client_evictions_total", 1);
+            }
+        }
+        // Both directions, so a reader blocked on an evicted or dead peer
+        // wakes too.
+        let _ = stream.shutdown(Shutdown::Both);
         drop(writer_guard);
     });
     scope.spawn(move || {
-        run_reader(read_half, &read, &jobs, &slot_tx);
-        drop(slot_tx); // writer drains the backlog, then closes the socket
+        run_reader(BufReader::new(read_half), &read, &jobs, lane);
         drop(guard);
     });
 }
@@ -128,7 +171,7 @@ enum LineOutcome {
     Eof,
     /// The line exceeded [`MAX_LINE_BYTES`] before its `\n`.
     TooLong,
-    /// A socket error (idle timeout or hard fault).
+    /// A read error (socket idle timeout or hard fault).
     Err(std::io::Error),
 }
 
@@ -136,7 +179,7 @@ enum LineOutcome {
 /// never buffering more than [`MAX_LINE_BYTES`] of it. Non-UTF-8 bytes
 /// are replaced lossily — the JSON parser rejects the garbage with a
 /// proper error response instead of the connection dying silently.
-fn read_bounded_line(lines: &mut BufReader<Stream>, line: &mut String) -> LineOutcome {
+fn read_bounded_line(lines: &mut impl BufRead, line: &mut String) -> LineOutcome {
     line.clear();
     let mut raw: Vec<u8> = Vec::new();
     loop {
@@ -145,6 +188,7 @@ fn read_bounded_line(lines: &mut BufReader<Stream>, line: &mut String) -> LineOu
             // which is the same thing: no complete request to answer.
             Ok([]) => return LineOutcome::Eof,
             Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return LineOutcome::Err(e),
         };
         let (chunk, done) = match buf.iter().position(|&b| b == b'\n') {
@@ -168,35 +212,26 @@ fn read_bounded_line(lines: &mut BufReader<Stream>, line: &mut String) -> LineOu
     }
 }
 
-/// Appends the echoed `request_id` to a response assembled outside the
-/// event loop (the daemon echoes it itself for queued requests).
-fn echo_request_id(mut response: Json, request_id: Option<&str>) -> Json {
-    if let (Json::Obj(pairs), Some(id)) = (&mut response, request_id) {
-        pairs.push(("request_id".to_string(), Json::Str(id.to_string())));
-    }
-    response
-}
-
-/// Reads lines until EOF, idle timeout, socket error, line-cap breach, or
-/// daemon shutdown. Idle timeouts and hard socket errors are counted
-/// separately (`daemon_conn_idle_timeouts_total` vs
-/// `daemon_conn_io_errors_total`) so operators can tell churn from faults.
-fn run_reader(
-    read_half: Stream,
+/// Reads request lines until EOF, a read error, a line-cap breach, a
+/// queued `shutdown`, or daemon shutdown. Socket idle timeouts and hard
+/// read errors are counted separately (`daemon_conn_idle_timeouts_total`
+/// vs `daemon_conn_io_errors_total`) so operators can tell churn from
+/// faults.
+pub(crate) fn run_reader(
+    mut input: impl BufRead,
     read: &ReadHandle,
     jobs: &mpsc::SyncSender<Job>,
-    slots: &mpsc::SyncSender<Slot>,
+    lane: Lane,
 ) {
-    let mut lines = BufReader::new(read_half);
     let mut line = String::new();
     loop {
-        match read_bounded_line(&mut lines, &mut line) {
+        match read_bounded_line(&mut input, &mut line) {
             LineOutcome::Line => {}
             // EOF: client closed, or shutdown closed our read side.
             LineOutcome::Eof => break,
             LineOutcome::TooLong => {
                 read.recorder.counter_add("daemon_line_too_long_total", 1);
-                let _ = slots.send(Slot::Ready(obj(vec![
+                let _ = lane.slots.send(Slot::Ready(obj(vec![
                     ("ok", Json::Bool(false)),
                     ("error", Json::Str("line too long".into())),
                     ("max_line_bytes", Json::UInt(MAX_LINE_BYTES as u64)),
@@ -204,7 +239,7 @@ fn run_reader(
                 break;
             }
             // Idle timeout (SO_RCVTIMEO reports WouldBlock or TimedOut
-            // depending on platform) or any hard socket error: drop the
+            // depending on platform) or any hard read error: drop the
             // connection. A line split across the timeout boundary is
             // abandoned — idle clients are expected to be between lines.
             LineOutcome::Err(e) => {
@@ -223,24 +258,29 @@ fn run_reader(
         }
         let item = crate::protocol::parse_incoming(trimmed);
         if let Ok(inc) = &item {
-            let t0 = Instant::now();
-            if let Some(response) = read.try_answer(&inc.req) {
+            // Lock-free only with nothing of ours still queued: a read
+            // pipelined behind this connection's own request must observe
+            // it, so it queues and the event loop answers it after that
+            // request's publish.
+            if inc.req.is_read_only() && lane.in_flight.load(Ordering::Acquire) == 0 {
+                let t0 = Instant::now();
+                let response = read.answer_lockfree(&inc.req);
                 read.recorder.observe_labeled(
                     "daemon_command_latency_ms",
                     "cmd",
                     inc.req.name(),
                     t0.elapsed().as_secs_f64() * 1e3,
                 );
-                let response = echo_request_id(response, inc.request_id.as_deref());
-                if slots.send(Slot::Ready(response)).is_err() {
-                    break; // writer gone (socket died or evicted)
+                let response = with_request_id(response, inc.request_id.as_deref());
+                if lane.slots.send(Slot::Ready(response)).is_err() {
+                    break; // writer gone (peer died or evicted)
                 }
                 continue;
             }
         }
         let request_id = item.as_ref().ok().and_then(|inc| inc.request_id.clone());
-        // Queue path: mirrors the single-stream reader's shed accounting —
-        // depth is incremented optimistically, rolled back on a full queue.
+        let shutdown = matches!(&item, Ok(inc) if inc.req == Request::Shutdown);
+        // Depth is incremented optimistically, rolled back on a full queue.
         let depth = read.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         read.recorder.gauge_set("daemon_queue_depth", depth as f64);
         let (reply_tx, reply_rx) = mpsc::channel::<Json>();
@@ -249,22 +289,27 @@ fn run_reader(
             reply: reply_tx,
         }) {
             Ok(()) => {
-                if slots.send(Slot::Pending(reply_rx)).is_err() {
+                // Counted before the slot is sent, so the writer can never
+                // take this reply first.
+                lane.in_flight.fetch_add(1, Ordering::AcqRel);
+                if lane.slots.send(Slot::Pending(reply_rx)).is_err() || shutdown {
+                    // After a queued `shutdown` nothing more is read: its
+                    // `bye` is this connection's last line.
                     break;
                 }
             }
             Err(mpsc::TrySendError::Full(_)) => {
                 let depth = read.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
                 read.recorder.gauge_set("daemon_queue_depth", depth as f64);
-                let response = echo_request_id(read.overloaded(), request_id.as_deref());
-                if slots.send(Slot::Ready(response)).is_err() {
+                let response = with_request_id(read.overloaded(), request_id.as_deref());
+                if lane.slots.send(Slot::Ready(response)).is_err() {
                     break;
                 }
             }
             Err(mpsc::TrySendError::Disconnected(_)) => {
                 let depth = read.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
                 read.recorder.gauge_set("daemon_queue_depth", depth as f64);
-                let _ = slots.send(Slot::Ready(echo_request_id(
+                let _ = lane.slots.send(Slot::Ready(with_request_id(
                     obj(vec![
                         ("ok", Json::Bool(false)),
                         ("error", Json::Str("daemon is shutting down".into())),
@@ -277,29 +322,27 @@ fn run_reader(
     }
 }
 
-/// Writes responses in request order; blocks on pending event-loop
-/// replies. A write that stalls past the stream's `SO_SNDTIMEO` is a
-/// slow-client eviction: the connection is torn down (both directions, so
-/// the reader also wakes), the slot channel collapses, and the `SlotGuard`
-/// frees the `--max-conns` slot — one stalled reader can never pin the
-/// pair forever.
-fn run_writer(mut stream: Stream, slots: mpsc::Receiver<Slot>, recorder: &nws_obs::Recorder) {
-    for slot in slots {
+/// Writes responses in request order, blocking on pending event-loop
+/// replies; stops at the first write error. A connection's in-flight
+/// count drops as the writer takes a reply, before writing it: a client
+/// that waits for each answer never has a read queued.
+pub(crate) fn run_writer(output: &mut impl Write, responses: Responses) -> std::io::Result<()> {
+    for slot in responses.slots {
         let response = match slot {
             Slot::Ready(json) => json,
-            Slot::Pending(reply) => reply.recv().unwrap_or_else(|_| {
-                obj(vec![
-                    ("ok", Json::Bool(false)),
-                    ("error", Json::Str("daemon exited before answering".into())),
-                ])
-            }),
-        };
-        if let Err(e) = writeln!(stream, "{}", response.encode()).and_then(|()| stream.flush()) {
-            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                recorder.counter_add("daemon_slow_client_evictions_total", 1);
+            Slot::Pending(reply) => {
+                let response = reply.recv().unwrap_or_else(|_| {
+                    obj(vec![
+                        ("ok", Json::Bool(false)),
+                        ("error", Json::Str("daemon exited before answering".into())),
+                    ])
+                });
+                responses.in_flight.fetch_sub(1, Ordering::AcqRel);
+                response
             }
-            break; // peer gone or evicted; reader notices via the closed slot channel
-        }
+        };
+        writeln!(output, "{}", response.encode())?;
+        output.flush()?;
     }
-    let _ = stream.shutdown(Shutdown::Both);
+    Ok(())
 }

@@ -2,15 +2,18 @@
 //! front of the daemon's event loop ([`crate::Daemon::serve`]).
 //!
 //! Architecture (DESIGN.md §14): one acceptor thread per listener, two
-//! threads per connection (reader + writer, see [`conn`]). Connection
+//! threads per connection (reader + writer, see [`conn`]; the stdio pair
+//! of [`crate::Daemon::run`] is one more such connection). Connection
 //! readers answer read-only commands directly from the published
-//! [`crate::read_path::ReadSnapshot`] and funnel everything else into the
+//! [`crate::read_path::ReadSnapshot`] unless their own connection has a
+//! queued request unanswered, and funnel everything else into the
 //! bounded job queue the event loop drains; the writer preserves strict
 //! per-connection FIFO response order via a slot channel, so a pure-read
 //! connection never waits on a solve while a mixed connection only waits
-//! behind its *own* mutations.
+//! behind its *own* requests.
 //!
-//! Shutdown: the event loop sets the shared flag and closes every
+//! Shutdown: the issuing connection's reader stops after queueing
+//! `shutdown`; the event loop then sets the shared flag and closes every
 //! registered connection's read side ([`Registry::close_read_sides`]);
 //! acceptors stop, readers see EOF and drop their queue senders, the loop
 //! drains what was already queued (every accepted request still gets its

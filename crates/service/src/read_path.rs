@@ -1,17 +1,20 @@
-//! The lock-free read path: an immutable [`ReadSnapshot`] swapped
-//! atomically by the event loop after every committed mutation, from which
-//! connection threads answer `query_rates` / `stats` / `health` /
-//! `metrics` / `ping` without ever touching the bounded solve queue.
+//! The read path: an immutable [`ReadSnapshot`] swapped atomically by the
+//! event loop after every handled request, from which `query_rates` /
+//! `stats` / `health` / `metrics` / `ping` are answered. A connection
+//! thread answers them lock-free, without touching the bounded solve
+//! queue; a read pipelined behind its own connection's queued request is
+//! answered by the event loop instead, with the same code, once that
+//! request is published — so the bytes never depend on the path.
 //!
 //! The swap cell is an `arc-swap`-style [`SnapshotCell`]: readers clone an
 //! `Arc` under a momentary `RwLock` read guard (no vendored `arc-swap`
 //! crate, and this crate forbids `unsafe`), the single publisher swaps the
-//! pointer under the write guard. Reads are wait-free with respect to the
-//! event loop and every solve: a read never enqueues, never blocks on a
-//! mutation, and two readers never contend beyond the pointer clone. The
-//! `daemon_reads_served_lockfree_total` counter certifies exactly this —
-//! under a read-heavy load it tracks the read count while the queue-depth
-//! gauge stays driven by mutations alone.
+//! pointer under the write guard. Lock-free reads are wait-free with
+//! respect to the event loop and every solve: they never enqueue, never
+//! block on a mutation, and two readers never contend beyond the pointer
+//! clone. The `daemon_reads_served_lockfree_total` counter certifies
+//! exactly this — under a read-heavy load it tracks the read count while
+//! the queue-depth gauge stays driven by mutations alone.
 //!
 //! Epochs are commit epochs: the event loop bumps the epoch when (and only
 //! when) a state mutation commits, so every rates vector a reader observes
@@ -119,19 +122,23 @@ pub(crate) struct ReadHandle {
 }
 
 impl ReadHandle {
-    /// Answers `req` from the snapshot when it is one of the read-only
-    /// commands; `None` means the request must go through the queue.
-    pub fn try_answer(&self, req: &Request) -> Option<Json> {
-        if !req.is_read_only() {
-            return None;
-        }
+    /// Answers a read-only `req` on a connection thread, counting it as a
+    /// lock-free read and as a request in the SLI windows.
+    pub fn answer_lockfree(&self, req: &Request) -> Json {
         self.reads_lockfree.fetch_add(1, Ordering::Relaxed);
         self.recorder
             .counter_add("daemon_reads_served_lockfree_total", 1);
         self.sli.record(crate::sli::Kind::Request);
         self.sli.record(crate::sli::Kind::Read);
+        self.answer(req)
+    }
+
+    /// Answers a read-only `req` from the current snapshot plus the live
+    /// atomics. Counting is the caller's: [`ReadHandle::answer_lockfree`]
+    /// on connection threads, the event loop for queued reads.
+    pub fn answer(&self, req: &Request) -> Json {
         let snap = self.cell.load();
-        let response = match req {
+        match req {
             Request::Ping => self.ok(req, &snap, vec![("pong", Json::Bool(true))]),
             Request::QueryRates => self.ok(
                 req,
@@ -143,20 +150,23 @@ impl ReadHandle {
                 ],
             ),
             Request::Stats => {
+                let lockfree = self.reads_lockfree.load(Ordering::Relaxed);
                 let mut stats = snap.stats.clone();
                 if let Json::Obj(pairs) = &mut stats {
-                    // Live overlays: sheds happen on reader threads after
-                    // publish; lock-free reads never reach the event loop.
+                    // Live overlays: lock-free reads never reach the event
+                    // loop's counters, and sheds happen on reader threads.
+                    let queued = pairs
+                        .iter()
+                        .find(|(k, _)| k == "requests")
+                        .and_then(|(_, v)| v.as_u64())
+                        .unwrap_or(0);
+                    set_field(pairs, "requests", Json::UInt(queued + lockfree));
                     set_field(
                         pairs,
                         "shed",
                         Json::UInt(self.shed_count.load(Ordering::Relaxed)),
                     );
-                    set_field(
-                        pairs,
-                        "reads_lockfree",
-                        Json::UInt(self.reads_lockfree.load(Ordering::Relaxed)),
-                    );
+                    set_field(pairs, "reads_lockfree", Json::UInt(lockfree));
                 }
                 self.ok(req, &snap, vec![("stats", stats)])
             }
@@ -205,8 +215,7 @@ impl ReadHandle {
                 self.ok(req, &snap, vec![("metrics", metrics)])
             }
             _ => unreachable!("is_read_only covers exactly the arms above"),
-        };
-        Some(response)
+        }
     }
 
     /// The per-connection `hello` line (multi-client transports greet
@@ -223,8 +232,8 @@ impl ReadHandle {
         ])
     }
 
-    /// The shed response for a full queue, with the same EWMA-derived
-    /// `retry_after_ms` hint as the single-stream reader thread.
+    /// The shed response for a full queue, with an EWMA-derived
+    /// `retry_after_ms` hint.
     pub fn overloaded(&self) -> Json {
         self.shed_count.fetch_add(1, Ordering::Relaxed);
         self.recorder.counter_add("daemon_overload_shed_total", 1);

@@ -9,6 +9,7 @@
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::StoreError;
 
@@ -34,37 +35,43 @@ pub fn pid_alive(pid: u32) -> bool {
 impl DirLock {
     /// Acquires the lock for `dir`, reclaiming a stale one.
     ///
-    /// Creation uses `O_EXCL`, and a stale lock is reclaimed by *renaming*
-    /// it aside before retrying — the rename is the atomic arbiter, so two
+    /// The lockfile appears with its PID already inside: it is written
+    /// under a private name and hard-linked into place, and the link fails
+    /// if a lock exists — so no racer ever reads a half-written lock and
+    /// mistakes it for garbage. A stale lock is reclaimed by *renaming* it
+    /// aside before retrying — the rename is the atomic arbiter, so two
     /// daemons racing to reclaim the same dead lock cannot both win (only
-    /// one rename of the same source succeeds). After creating its own
+    /// one rename of the same source succeeds). After linking its own
     /// lockfile the winner re-reads it and verifies its own PID, guarding
-    /// against a third racer that overwrote the file in the window.
+    /// against a third racer that replaced the file in the window.
     ///
     /// # Errors
     /// [`StoreError::Locked`] when a live process (including this one,
     /// via an earlier store instance) holds the lock; [`StoreError::Io`]
     /// on filesystem failures or when the race cannot be settled.
     pub fn acquire(dir: &Path) -> Result<DirLock, StoreError> {
+        // Private staging names must differ between racing threads of one
+        // process too, which share the PID.
+        static ATTEMPTS: AtomicU64 = AtomicU64::new(0);
         let path = dir.join(LOCK_FILE);
         let pid = std::process::id();
         // Bounded: each retry means another process made visible progress
         // (created or reclaimed a lock); 16 rounds of that without a
         // settled outcome is churn worth surfacing, not spinning through.
         for _ in 0..16 {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    writeln!(file, "{pid}")
-                        .and_then(|()| file.sync_all())
-                        .map_err(|e| {
-                            StoreError::io(format!("write lockfile {}", path.display()), e)
-                        })?;
-                    // Verify ownership: another racer may have treated our
-                    // half-written file as stale and replaced it.
+            let attempt = ATTEMPTS.fetch_add(1, Ordering::Relaxed);
+            let staged = dir.join(format!("{LOCK_FILE}.new.{pid}.{attempt}"));
+            let linked = fs::File::create(&staged)
+                .and_then(|mut file| {
+                    writeln!(file, "{pid}")?;
+                    file.sync_all()
+                })
+                .and_then(|()| fs::hard_link(&staged, &path));
+            let _ = fs::remove_file(&staged);
+            match linked {
+                Ok(()) => {
+                    // Verify ownership: another racer may have judged the
+                    // lock stale and replaced it in the window.
                     let content = fs::read_to_string(&path).unwrap_or_default();
                     if content.trim().parse::<u32>() == Ok(pid) {
                         return Ok(DirLock { path, pid });
@@ -82,7 +89,7 @@ impl DirLock {
             // Lock exists. Live owner → refused; dead or garbage → stale.
             let existing = match fs::read_to_string(&path) {
                 Ok(text) => text,
-                // Deleted between create_new and read: owner released; retry.
+                // Deleted between link and read: owner released; retry.
                 Err(_) => continue,
             };
             if let Ok(owner) = existing.trim().parse::<u32>() {
@@ -94,9 +101,14 @@ impl DirLock {
                 }
             }
             // Reclaim by renaming the stale file aside: exactly one racer's
-            // rename succeeds, and that racer retries create_new above.
-            let grave = dir.join(format!("{LOCK_FILE}.stale.{pid}"));
+            // rename succeeds, and that racer retries the link above. A
+            // racer that read the stale lock before another reclaimed it
+            // moves the fresh lock instead, and links it back.
+            let grave = dir.join(format!("{LOCK_FILE}.stale.{pid}.{attempt}"));
             if fs::rename(&path, &grave).is_ok() {
+                if fs::read_to_string(&grave).ok().as_ref() != Some(&existing) {
+                    let _ = fs::hard_link(&grave, &path);
+                }
                 let _ = fs::remove_file(&grave);
             }
         }

@@ -156,7 +156,9 @@ stage_serve() {
             --metrics-out METRICS_serve.prom --trace --state-dir "$STATE_DIR" \
             --solve-deadline-ms 5000 > serve_session.out
     [ -s BENCH_recover.json ] || { echo "BENCH_recover.json missing or empty" >&2; exit 1; }
-    grep -q '"bye":true' serve_session.out || { echo "daemon did not shut down cleanly" >&2; exit 1; }
+    # The reader stops after a queued shutdown, so bye must be the LAST line.
+    tail -n 1 serve_session.out | grep -q '"bye":true' \
+        || { echo "daemon did not end the session on bye" >&2; exit 1; }
     if grep -q '"ok":false' serve_session.out; then
         echo "daemon rejected a scripted event:" >&2
         grep '"ok":false' serve_session.out >&2
