@@ -334,6 +334,7 @@ fn main() {
     let coalesce_flushes = counter(&metrics, "daemon_coalesce_flushes_total");
     let coalesced_updates = counter(&metrics, "daemon_coalesced_updates_total");
     let epoch_rebuilds = counter(&metrics, "state_epoch_rebuilds_total");
+    let routing_builds = counter(&metrics, "state_routing_builds_total");
     let slow_evictions = counter(&metrics, "daemon_slow_client_evictions_total");
     let idle_timeouts = counter(&metrics, "daemon_conn_idle_timeouts_total");
     let conn_io_errors = counter(&metrics, "daemon_conn_io_errors_total");
@@ -376,6 +377,7 @@ fn main() {
                 ("coalesce_flushes", Json::UInt(coalesce_flushes)),
                 ("coalesced_updates", Json::UInt(coalesced_updates)),
                 ("epoch_rebuilds", Json::UInt(epoch_rebuilds)),
+                ("routing_builds", Json::UInt(routing_builds)),
                 ("slow_client_evictions", Json::UInt(slow_evictions)),
                 ("conn_idle_timeouts", Json::UInt(idle_timeouts)),
                 ("conn_io_errors", Json::UInt(conn_io_errors)),

@@ -204,13 +204,32 @@ impl TaskBuilder {
         self
     }
 
-    /// Validates and assembles the task.
+    /// Validates and assembles the task: the routing step (shortest-path
+    /// routing with even ECMP splitting of the tracked pairs), then
+    /// [`TaskBuilder::build_with_routing`].
     ///
     /// # Errors
     /// [`CoreError::InvalidTask`] for empty OD sets, non-positive sizes or
     /// `c ∉ (0,1)`, bad `θ`/`α`, unroutable OD pairs, or an empty candidate
     /// monitor set.
     pub fn build(self) -> Result<MeasurementTask, CoreError> {
+        let pairs: Vec<OdPair> = self.ods.iter().map(|o| o.od).collect();
+        let routing = RoutingMatrix::build(&self.topo, &pairs);
+        self.build_with_routing(routing)
+    }
+
+    /// The assembly step of [`TaskBuilder::build`]: validates and assembles
+    /// the task around a routing matrix the caller already has. Routing
+    /// depends only on the topology and the tracked pairs' endpoints, so a
+    /// caller whose demands, `θ` or `α` move over fixed routes can route
+    /// once and derive every later task (link loads, `c`, candidate set)
+    /// from the same matrix, with the same checks and results as `build`.
+    ///
+    /// # Errors
+    /// As [`TaskBuilder::build`], plus [`CoreError::InvalidTask`] when
+    /// `routing`'s rows are not the tracked pairs in order or its columns
+    /// are not the topology's links.
+    pub fn build_with_routing(self, routing: RoutingMatrix) -> Result<MeasurementTask, CoreError> {
         if self.ods.is_empty() {
             return Err(CoreError::InvalidTask("no tracked OD pairs".into()));
         }
@@ -244,8 +263,13 @@ impl TaskBuilder {
             }
         }
 
-        let pairs: Vec<OdPair> = self.ods.iter().map(|o| o.od).collect();
-        let routing = RoutingMatrix::build(&self.topo, &pairs);
+        if routing.num_links() != self.topo.num_links()
+            || !routing.ods().iter().eq(self.ods.iter().map(|o| &o.od))
+        {
+            return Err(CoreError::InvalidTask(
+                "routing matrix does not match the tracked pairs and topology".into(),
+            ));
+        }
         for (k, od) in self.ods.iter().enumerate() {
             if routing.links_of_od(k).is_empty() {
                 return Err(CoreError::InvalidTask(format!(
@@ -425,6 +449,38 @@ mod tests {
 
         // restricted_to on an already-built task.
         let err = task.restricted_to(&[]).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidTask(_)));
+    }
+
+    #[test]
+    fn build_with_routing_matches_build_and_checks_the_matrix() {
+        let topo = geant();
+        let nl = janet_pair(&topo, "NL");
+        let lu = janet_pair(&topo, "LU");
+        let builder = |sizes: [f64; 2]| {
+            MeasurementTask::builder(topo.clone())
+                .track("JANET-NL", nl, sizes[0])
+                .track("JANET-LU", lu, sizes[1])
+                .background_loads(&vec![500.0; topo.num_links()])
+                .theta(1e4)
+        };
+        let routed = builder([9e6, 6000.0]).build().unwrap();
+        // The same routes under other demands: identical to a full build.
+        let reused = builder([2e6, 7000.0])
+            .build_with_routing(routed.routing().clone())
+            .unwrap();
+        let rebuilt = builder([2e6, 7000.0]).build().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(reused.link_loads()), bits(rebuilt.link_loads()));
+        assert_eq!(reused.candidate_links(), rebuilt.candidate_links());
+        for (a, b) in reused.ods().iter().zip(rebuilt.ods()) {
+            assert_eq!(a.inv_mean_size.to_bits(), b.inv_mean_size.to_bits());
+        }
+        // A matrix routed for other pairs is rejected, not trusted.
+        let other = RoutingMatrix::build(&topo, &[lu, nl]);
+        let err = builder([2e6, 7000.0])
+            .build_with_routing(other)
+            .unwrap_err();
         assert!(matches!(err, CoreError::InvalidTask(_)));
     }
 

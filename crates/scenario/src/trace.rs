@@ -17,6 +17,7 @@
 
 use nws_service::json::{obj, parse, Json};
 use nws_service::Request;
+use std::collections::HashSet;
 
 /// Metadata line at the top of a trace file.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,6 +117,7 @@ fn pairs_from_json(v: &Json, key: &str) -> Result<Vec<(String, f64)>, String> {
         .and_then(Json::as_arr)
         .ok_or_else(|| format!("missing or non-array '{key}'"))?;
     let mut out: Vec<(String, f64)> = Vec::with_capacity(arr.len());
+    let mut names: HashSet<&str> = HashSet::with_capacity(arr.len());
     for (i, entry) in arr.iter().enumerate() {
         let pair = entry
             .as_arr()
@@ -132,7 +134,7 @@ fn pairs_from_json(v: &Json, key: &str) -> Result<Vec<(String, f64)>, String> {
                 "{key}[{i}] ('{name}') must be a finite size > 1 packet, got {size}"
             ));
         }
-        if out.iter().any(|(seen, _)| seen == name) {
+        if !names.insert(name) {
             return Err(format!("{key}[{i}] duplicates OD '{name}'"));
         }
         out.push((name.to_string(), size));

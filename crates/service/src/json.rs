@@ -24,6 +24,7 @@
 //! encoder emits astral characters as raw UTF-8 (never as surrogate-pair
 //! escapes), which round-trips through the parser unchanged.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// A parsed JSON value. Objects preserve insertion order (`Vec` of pairs,
@@ -209,6 +210,7 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
 /// A message with the byte offset of the first problem.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -229,7 +231,14 @@ pub fn parse(text: &str) -> Result<Json, String> {
 /// layer must prevent).
 const MAX_DEPTH: usize = 128;
 
+/// Objects with more keys than this detect duplicates through a hash set;
+/// smaller ones (every protocol message) scan the keys so far, which
+/// allocates nothing.
+const KEY_SCAN_LIMIT: usize = 16;
+
 struct Parser<'a> {
+    /// The input; `bytes` is the same text, indexed bytewise.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -294,6 +303,7 @@ impl Parser<'_> {
         self.expect(b'{')?;
         self.enter()?;
         let mut pairs: Vec<(String, Json)> = Vec::new();
+        let mut keys: Option<HashSet<String>> = None;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -303,8 +313,21 @@ impl Parser<'_> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if pairs.iter().any(|(k, _)| *k == key) {
+            let duplicate = match &mut keys {
+                Some(keys) => !keys.insert(key.clone()),
+                None => pairs.iter().any(|(k, _)| *k == key),
+            };
+            if duplicate {
                 return self.err(&format!("duplicate key '{key}'"));
+            }
+            if keys.is_none() && pairs.len() == KEY_SCAN_LIMIT {
+                keys = Some(
+                    pairs
+                        .iter()
+                        .map(|(k, _)| k.clone())
+                        .chain([key.clone()])
+                        .collect(),
+                );
             }
             self.skip_ws();
             self.expect(b':')?;
@@ -431,17 +454,17 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character. Infallible even on hostile
-                    // input: `bytes` came from a `&str` (valid UTF-8 by
-                    // construction) and `pos` only ever advances by whole
-                    // `len_utf8` steps or across single-byte ASCII, so it is
-                    // always on a character boundary; `peek()` returned `Some`,
-                    // so the remainder is non-empty.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // go. Infallible even on hostile input: the text is a
+                    // `&str`, and both ends of the run sit next to an ASCII
+                    // byte (or the end of input), which is never inside a
+                    // multi-byte character, so the slice is on character
+                    // boundaries.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -632,6 +655,47 @@ mod tests {
         assert!(parse(&"[".repeat(100_000)).is_err());
         let objs = format!("{}1{}", "{\"k\":".repeat(50_000), "}".repeat(50_000));
         assert!(parse(&objs).is_err());
+    }
+
+    /// Quadratic string or key handling takes minutes on the inputs
+    /// below; a linear parser takes milliseconds, even in a debug build.
+    const LINEAR_LIMIT: std::time::Duration = std::time::Duration::from_secs(2);
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        let unit = "plain ascii, é, \u{1F600}, \\\"quoted\\\", \\u00e9\\n";
+        let decoded_unit = "plain ascii, é, \u{1F600}, \"quoted\", é\n";
+        let reps = (1 << 20) / unit.len();
+        let text = format!("\"{}\"", unit.repeat(reps));
+        let t0 = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(v.as_str(), Some(decoded_unit.repeat(reps).as_str()));
+        assert!(
+            took < LINEAR_LIMIT,
+            "a {} byte string took {took:?}",
+            text.len()
+        );
+    }
+
+    #[test]
+    fn forty_thousand_key_object_parses_in_linear_time() {
+        let keys = 40_000;
+        let body: Vec<String> = (0..keys).map(|i| format!("\"key{i}\":{i}")).collect();
+        let text = format!("{{{}}}", body.join(","));
+        let t0 = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(v.get("key39999").and_then(Json::as_u64), Some(39_999));
+        assert!(took < LINEAR_LIMIT, "a {keys}-key object took {took:?}");
+        // Past the scan limit, a duplicate is still caught, early or late.
+        let dup = format!("{{{},\"key7\":0}}", body.join(","));
+        let err = parse(&dup).unwrap_err();
+        assert!(err.contains("duplicate key 'key7'"), "{err}");
+        let small_dup = format!("{{{},\"key3\":0}}", body[..KEY_SCAN_LIMIT].join(","));
+        assert!(parse(&small_dup)
+            .unwrap_err()
+            .contains("duplicate key 'key3'"));
     }
 
     #[test]

@@ -5,10 +5,23 @@
 //! names, OD set, background loads, θ, α) from which the current
 //! [`MeasurementTask`] is rebuilt after every event. Keeping the spec — not
 //! the built task — as the source of truth is what makes link failures
-//! composable with every other event: the derived topology, the routing
-//! matrix and the candidate set are always reconstructed from scratch,
-//! while sampling rates are carried across epochs in *base-topology link
-//! indexing* and re-mapped through [`nws_routing::failure::link_id_map`].
+//! composable with every other event, while sampling rates are carried
+//! across epochs in *base-topology link indexing* and re-mapped through
+//! [`nws_routing::failure::link_id_map`].
+//!
+//! The expensive part of a rebuild — the post-failure topology, every SPF
+//! and the ECMP routing matrix — depends only on the failed fibres and the
+//! ordered OD endpoints, and traffic moves far more often than routing
+//! does. So a one-entry memo, shared by every clone of the state, keeps
+//! the routing of the last re-solved epoch, and a rebuild whose two keys
+//! equal the memo's *by value* reuses it and derives only the
+//! demand-dependent part (link loads, `c_k`, θ/α checks, candidate set)
+//! through [`TaskBuilder::build_with_routing`], the assembly step of
+//! every task build. Any other rebuild routes from scratch. Matching by
+//! value means nothing ever invalidates the memo: a rollback, a restore
+//! or a rejected transaction just misses it.
+//!
+//! [`TaskBuilder::build_with_routing`]: nws_core::TaskBuilder::build_with_routing
 
 use crate::json::{obj, Json};
 use crate::protocol::Request;
@@ -20,11 +33,12 @@ use nws_core::{
 };
 use nws_obs::Recorder;
 use nws_routing::failure::{bidirectional_pair, link_id_map, without_links};
-use nws_routing::OdPair;
+use nws_routing::{OdPair, RoutingMatrix};
 use nws_solver::SolveBudget;
 use nws_topo::{LinkId, Topology};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One tracked OD pair, by node *names* so it survives topology epochs.
@@ -156,6 +170,75 @@ struct SnapshotData {
     installed: Option<Installed>,
 }
 
+/// The routing of one epoch: everything that depends only on the failed
+/// fibres and the ordered OD endpoints (its two keys, kept beside it).
+#[derive(Debug)]
+struct RoutingEpoch {
+    failed: Vec<(String, String)>,
+    /// `(src, dst)` node names per tracked OD, in tracking order.
+    endpoints: Vec<(String, String)>,
+    /// The post-failure topology.
+    topo: Topology,
+    /// Base link id → this epoch's link id (`None` for failed links).
+    idmap: Vec<Option<LinkId>>,
+    routing: RoutingMatrix,
+}
+
+impl RoutingEpoch {
+    /// Whether this is `state`'s routing: both keys equal by value.
+    fn routes(&self, state: &ServiceState) -> bool {
+        self.failed == state.failed
+            && self.endpoints.len() == state.ods.len()
+            && self
+                .endpoints
+                .iter()
+                .zip(&state.ods)
+                .all(|((src, dst), od)| *src == od.src && *dst == od.dst)
+    }
+
+    /// Per-link values in base indexing, carried into this epoch's link
+    /// indexing (failed links drop out).
+    fn to_epoch(&self, base: &[f64]) -> Vec<f64> {
+        let mut now = vec![0.0; self.topo.num_links()];
+        for (old, new) in self.idmap.iter().enumerate() {
+            if let Some(new) = new {
+                now[new.index()] = base[old];
+            }
+        }
+        now
+    }
+
+    /// The inverse of [`RoutingEpoch::to_epoch`]: failed links get 0.
+    fn to_base(&self, now: &[f64]) -> Vec<f64> {
+        self.idmap
+            .iter()
+            .map(|new| new.map_or(0.0, |new| now[new.index()]))
+            .collect()
+    }
+}
+
+/// One-entry memo of the last re-solved epoch's routing, shared by every
+/// clone of a state. Entries match by value ([`RoutingEpoch::routes`]),
+/// so it needs no invalidation: a state whose keys differ from the
+/// entry's, whichever clone stored it, misses and routes from scratch.
+#[derive(Debug, Clone, Default)]
+struct EpochMemo(Arc<Mutex<Option<Arc<RoutingEpoch>>>>);
+
+impl EpochMemo {
+    fn lookup(&self, state: &ServiceState) -> Option<Arc<RoutingEpoch>> {
+        let entry = self
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        entry.filter(|epoch| epoch.routes(state))
+    }
+
+    fn store(&self, epoch: Arc<RoutingEpoch>) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = Some(epoch);
+    }
+}
+
 /// The daemon's mutable network state.
 #[derive(Debug, Clone)]
 pub struct ServiceState {
@@ -181,6 +264,8 @@ pub struct ServiceState {
     /// Observability sink threaded into every re-solve (disabled by
     /// default; the daemon installs its own via [`ServiceState::set_recorder`]).
     recorder: Recorder,
+    /// Routing of the last re-solved epoch (see the module docs).
+    memo: EpochMemo,
 }
 
 fn canonical_pair(a: &str, b: &str) -> (String, String) {
@@ -230,6 +315,7 @@ impl ServiceState {
             solve_deadline: None,
             chaos: SolverChaos::default(),
             recorder: Recorder::disabled(),
+            memo: EpochMemo::default(),
         }
     }
 
@@ -337,45 +423,69 @@ impl ServiceState {
             .ok_or_else(|| ServiceError::State(format!("unknown node '{name}'")))
     }
 
-    /// Rebuilds the current epoch's task and the base→epoch link-id map.
-    fn rebuild(&self) -> Result<(MeasurementTask, Vec<Option<LinkId>>), ServiceError> {
+    /// Routes the current spec from scratch: the post-failure topology,
+    /// the base→epoch link-id map and the ECMP routing matrix.
+    fn route(&self) -> Result<RoutingEpoch, ServiceError> {
+        self.recorder.counter_add("state_routing_builds_total", 1);
+        let failed_ids = self.failed_link_ids()?;
+        let topo = without_links(&self.base, &failed_ids)
+            .map_err(|e| ServiceError::State(format!("post-failure topology invalid: {e}")))?;
+        let idmap = link_id_map(&self.base, &failed_ids);
+        let mut pairs = Vec::with_capacity(self.ods.len());
+        for od in &self.ods {
+            let src = topo
+                .node_by_name(&od.src)
+                .ok_or_else(|| ServiceError::State(format!("unknown node '{}'", od.src)))?;
+            let dst = topo
+                .node_by_name(&od.dst)
+                .ok_or_else(|| ServiceError::State(format!("unknown node '{}'", od.dst)))?;
+            pairs.push(OdPair { src, dst });
+        }
+        let routing = RoutingMatrix::build(&topo, &pairs);
+        Ok(RoutingEpoch {
+            failed: self.failed.clone(),
+            endpoints: self
+                .ods
+                .iter()
+                .map(|od| (od.src.clone(), od.dst.clone()))
+                .collect(),
+            topo,
+            idmap,
+            routing,
+        })
+    }
+
+    /// Rebuilds the current epoch's task over the memoised routing when
+    /// it is this spec's, over a fresh one otherwise.
+    fn rebuild(&self) -> Result<(MeasurementTask, Arc<RoutingEpoch>), ServiceError> {
         // Counted so tests (and operators) can verify that a batched event
         // costs one epoch rebuild, not one per entry.
         self.recorder.counter_add("state_epoch_rebuilds_total", 1);
-        let failed_ids = self.failed_link_ids()?;
-        let topo_now = without_links(&self.base, &failed_ids)
-            .map_err(|e| ServiceError::State(format!("post-failure topology invalid: {e}")))?;
-        let idmap = link_id_map(&self.base, &failed_ids);
-
-        let mut background = vec![0.0; topo_now.num_links()];
-        for (old, new) in idmap.iter().enumerate() {
-            if let Some(new) = new {
-                background[new.index()] = self.background_base[old];
-            }
-        }
-
-        let mut names = Vec::with_capacity(self.ods.len());
-        let mut pairs = Vec::with_capacity(self.ods.len());
-        for od in &self.ods {
-            let src = topo_now
-                .node_by_name(&od.src)
-                .ok_or_else(|| ServiceError::State(format!("unknown node '{}'", od.src)))?;
-            let dst = topo_now
-                .node_by_name(&od.dst)
-                .ok_or_else(|| ServiceError::State(format!("unknown node '{}'", od.dst)))?;
-            names.push(od.name.clone());
-            pairs.push((OdPair { src, dst }, od.size));
-        }
-        let mut builder = MeasurementTask::builder(topo_now);
-        for (name, (od, size)) in names.into_iter().zip(pairs) {
-            builder = builder.track(name, od, size);
+        let epoch = match self.memo.lookup(self) {
+            Some(epoch) => epoch,
+            None => Arc::new(self.route()?),
+        };
+        let mut builder = MeasurementTask::builder(epoch.topo.clone());
+        for (od, &pair) in self.ods.iter().zip(epoch.routing.ods()) {
+            builder = builder.track(od.name.clone(), pair, od.size);
         }
         let task = builder
-            .background_loads(&background)
+            .background_loads(&epoch.to_epoch(&self.background_base))
             .theta(self.theta)
             .alpha(self.alpha)
-            .build()?;
-        Ok((task, idmap))
+            .build_with_routing(epoch.routing.clone())?;
+        Ok((task, epoch))
+    }
+
+    /// The current epoch's task and the installed rates in its link
+    /// indexing.
+    fn installed_now(&self) -> Result<(MeasurementTask, Vec<f64>), ServiceError> {
+        let inst = self
+            .installed
+            .as_ref()
+            .ok_or_else(|| ServiceError::State("no configuration installed yet".into()))?;
+        let (task, epoch) = self.rebuild()?;
+        Ok((task, epoch.to_epoch(&inst.rates_base)))
     }
 
     /// The per-attempt solver config: the shared [`PlacementConfig`] with
@@ -413,17 +523,13 @@ impl ServiceState {
     /// after failures shrank the candidate set).
     pub fn resolve(&mut self, shadow: bool) -> Result<SolveReport, ServiceError> {
         self.chaos.on_resolve();
-        let (task, idmap) = self.rebuild()?;
+        let (task, epoch) = self.rebuild()?;
+        self.memo.store(Arc::clone(&epoch));
         let prev_objective = self.installed.as_ref().map(|i| i.objective);
-        let warm_vec: Option<Vec<f64>> = self.installed.as_ref().map(|inst| {
-            let mut v = vec![0.0; task.topology().num_links()];
-            for (old, new) in idmap.iter().enumerate() {
-                if let Some(new) = new {
-                    v[new.index()] = inst.rates_base[old];
-                }
-            }
-            v
-        });
+        let warm_vec: Option<Vec<f64>> = self
+            .installed
+            .as_ref()
+            .map(|inst| epoch.to_epoch(&inst.rates_base));
 
         let t0 = Instant::now();
         let mut sol = match &warm_vec {
@@ -471,14 +577,8 @@ impl ServiceState {
         };
 
         if !keep_last_good {
-            let mut rates_base = vec![0.0; self.base.num_links()];
-            for (old, new) in idmap.iter().enumerate() {
-                if let Some(new) = new {
-                    rates_base[old] = sol.rates[new.index()];
-                }
-            }
             self.installed = Some(Installed {
-                rates_base,
+                rates_base: epoch.to_base(&sol.rates),
                 objective: sol.objective,
                 lambda: sol.lambda,
                 active_monitors: sol.active_monitors.len(),
@@ -559,17 +659,7 @@ impl ServiceState {
     /// [`ServiceError::State`] when no configuration is installed or the
     /// epoch's task cannot be rebuilt.
     pub fn evaluate_installed(&self) -> Result<(f64, Vec<f64>), ServiceError> {
-        let inst = self
-            .installed
-            .as_ref()
-            .ok_or_else(|| ServiceError::State("no configuration installed yet".into()))?;
-        let (task, idmap) = self.rebuild()?;
-        let mut rates_now = vec![0.0; task.topology().num_links()];
-        for (old, new) in idmap.iter().enumerate() {
-            if let Some(new) = new {
-                rates_now[new.index()] = inst.rates_base[old];
-            }
-        }
+        let (task, rates_now) = self.installed_now()?;
         let sol = evaluate_rates(&task, &rates_now);
         Ok((sol.objective, sol.utilities))
     }
@@ -596,6 +686,11 @@ impl ServiceState {
                 if updates.is_empty() {
                     return bad("'updates' must be a non-empty batch".into());
                 }
+                let mut index: HashMap<&str, usize> = HashMap::with_capacity(self.ods.len());
+                for (i, o) in self.ods.iter().enumerate() {
+                    index.entry(o.name.as_str()).or_insert(i);
+                }
+                let mut seen = vec![false; self.ods.len()];
                 let mut targets = Vec::with_capacity(updates.len());
                 for (od, size) in updates {
                     if !(size.is_finite() && *size > 1.0) {
@@ -603,11 +698,11 @@ impl ServiceState {
                             "size for '{od}' must exceed 1 packet/interval, got {size}"
                         ));
                     }
-                    let i = match self.ods.iter().position(|o| o.name == *od) {
-                        Some(i) => i,
+                    let i = match index.get(od.as_str()) {
+                        Some(&i) => i,
                         None => return bad(format!("unknown OD '{od}'")),
                     };
-                    if targets.contains(&i) {
+                    if std::mem::replace(&mut seen[i], true) {
                         return bad(format!("duplicate OD '{od}' in batch"));
                     }
                     targets.push(i);
@@ -744,17 +839,7 @@ impl ServiceState {
     /// [`ServiceError::State`] when no configuration is installed or the
     /// epoch's task cannot be rebuilt.
     pub fn accuracy(&self, runs: usize, seed: u64) -> Result<(f64, f64, f64), ServiceError> {
-        let inst = self
-            .installed
-            .as_ref()
-            .ok_or_else(|| ServiceError::State("no configuration installed yet".into()))?;
-        let (task, idmap) = self.rebuild()?;
-        let mut rates_now = vec![0.0; task.topology().num_links()];
-        for (old, new) in idmap.iter().enumerate() {
-            if let Some(new) = new {
-                rates_now[new.index()] = inst.rates_base[old];
-            }
-        }
+        let (task, rates_now) = self.installed_now()?;
         let sol = evaluate_rates(&task, &rates_now);
         let summary = summarize(&evaluate_accuracy(&task, &sol, runs, seed));
         Ok((summary.mean, summary.worst, summary.best))

@@ -31,7 +31,9 @@ binary):
         read count, and jobs_enqueued stays within the mutate stream
         (read load must not touch the solve queue);
       - coalescing holds: epoch rebuilds track coalesce flushes, never the
-        raw update count.
+        raw update count;
+      - demand-only epochs reuse the routing: the load sends only
+        update_demand, so the startup solve is the only routing build.
 3.  Structural baselines: the connection mix (readers/writers/duration/
     burst) must match scripts/bench_baselines.json exactly; read p99 must
     stay within TIMING_BAND of the baseline and read throughput must not
@@ -378,6 +380,7 @@ SERVE_SIDE_FIELDS = ("count", "errors", "throughput_per_sec",
                      "p50_ms", "p95_ms", "p99_ms")
 SERVE_COUNTERS = ("reads_served_lockfree", "jobs_enqueued",
                   "coalesce_flushes", "coalesced_updates", "epoch_rebuilds",
+                  "routing_builds",
                   "slow_client_evictions", "conn_idle_timeouts",
                   "conn_io_errors")
 # Slack on jobs_enqueued beyond the measured mutate count: the control
@@ -454,6 +457,11 @@ def check_serve_gates(report):
     if counters["coalesced_updates"] < counters["coalesce_flushes"]:
         fail(f"gates: coalesced_updates {counters['coalesced_updates']} < "
              f"coalesce_flushes {counters['coalesce_flushes']}")
+    # Gate 4: the load only moves demands, so every epoch after the
+    # startup solve reuses its routing.
+    if counters["routing_builds"] != 1:
+        fail(f"gates: routing_builds {counters['routing_builds']} != 1 — "
+             f"demand-only epochs are routing from scratch")
 
 
 def serve_structure_of(report):
