@@ -6,14 +6,16 @@
 //! across a persistent [`EvalPool`]. Chunk partials are merged in chunk
 //! order, so results are deterministic for a fixed worker count. A fused
 //! single-pass kernel ([`PlacementObjective::eval_fused`]) produces value,
-//! gradient, and both directional derivatives from one CSR sweep — the
-//! line-search hot path touches each row once instead of three times.
+//! gradient, and both directional derivatives from one CSR sweep. Under the
+//! approximate rate model a line search costs one sweep in all: it records
+//! each row's `(ρ_k, r_k·s)` at `t = 0`, and every Newton probe is answered
+//! from those scalars ([`Objective::prepare_line`]).
 
 use crate::pool::{ChunkOut, ChunkTask};
 use crate::{CoreError, EvalPool, MeasurementTask, PoolError, SreUtility, Utility};
 use nws_linalg::Vector;
 use nws_obs::Recorder;
-use nws_solver::{BoxLinearProblem, Objective};
+use nws_solver::{BoxLinearProblem, LineProbe, Objective, TrialPoints};
 use nws_topo::LinkId;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -387,6 +389,52 @@ impl<U: Utility> ObjectiveCore<U> {
         }
         (value, derivative, curvature)
     }
+
+    /// The line-preparation sweep over the OD rows in `ks`: each row's
+    /// unclamped approximate rate `Σ r·p_v` and its slope `Σ r·s_v` along
+    /// `s`, both from one pass over the row, written as a pair per row
+    /// into `out` (row `ks.start` first).
+    fn line_over(&self, ks: Range<usize>, p: &Vector, s: &Vector, out: &mut [f64]) {
+        for (k, pair) in ks.zip(out.chunks_exact_mut(2)) {
+            let (mut rho, mut slope) = (0.0_f64, 0.0_f64);
+            for &(v, r) in self.row(k) {
+                rho += r * p[v];
+                slope += r * s[v];
+            }
+            pair[0] = rho;
+            pair[1] = slope;
+        }
+    }
+
+    /// `(φ'(t), φ''(t))` of the approximate model along a prepared line:
+    /// `ρ_k(p + t·s) = ρ_k(p) + t·(r_k·s)`, so each row needs only its
+    /// pair from [`ObjectiveCore::line_over`] — no trial point, no row walk.
+    fn line_derivatives(&self, rows: &[f64], t: f64) -> (f64, f64) {
+        let (mut derivative, mut curvature) = (0.0_f64, 0.0_f64);
+        for (k, pair) in rows.chunks_exact(2).enumerate() {
+            let (rho0, slope) = (pair[0], pair[1]);
+            let rho = (rho0 + t * slope).clamp(0.0, 1.0);
+            let w = self.weights[k];
+            let u = &self.utilities[k];
+            derivative += w * u.d1(rho) * slope;
+            curvature += w * u.d2(rho) * slope * slope;
+        }
+        (derivative, curvature)
+    }
+}
+
+/// The approximate model restricted to one search line
+/// ([`PlacementObjective`]'s [`Objective::prepare_line`]): the per-row
+/// `(ρ_k(p), r_k·s)` pairs of one sweep at `t = 0` answer every probe.
+struct PreparedLine<'a, U> {
+    core: &'a ObjectiveCore<U>,
+    rows: Vec<f64>,
+}
+
+impl<U: Utility> LineProbe for PreparedLine<'_, U> {
+    fn derivatives(&mut self, t: f64) -> (f64, f64) {
+        self.core.line_derivatives(&self.rows, t)
+    }
 }
 
 /// Which kernel a pooled chunk task runs.
@@ -397,6 +445,7 @@ enum KernelKind {
     Curvature,
     Gradient,
     Fused { grad: bool },
+    Line,
 }
 
 /// The paper's objective `Σ_k w_k·M_k(ρ_k(p))` over the reduced variables,
@@ -570,9 +619,9 @@ impl<U: Utility> PlacementObjective<U> {
 
     /// Attaches an observability recorder (builder style; the default is the
     /// disabled no-op sink). With a live recorder, every evaluation bumps
-    /// `eval_calls_total` (fused-kernel calls additionally
-    /// `eval_fused_calls_total`), and the parallel fan-out records the
-    /// worker count (`eval_workers` gauge), chunk totals
+    /// `eval_calls_total` (fused-kernel calls and line preparations
+    /// additionally `eval_fused_calls_total`), and the parallel fan-out
+    /// records the worker count (`eval_workers` gauge), chunk totals
     /// (`eval_chunks_total`, `pool_tasks_dispatched_total`), worker
     /// park/wake cycles (`pool_wake_cycles_total`) and per-chunk wall time
     /// (`eval_chunk_ms` histogram) — the utilization signal: even chunk
@@ -687,6 +736,10 @@ impl<U: Utility + Send + Sync + 'static> PlacementObjective<U> {
                         ..ChunkOut::default()
                     }
                 }
+                KernelKind::Line => {
+                    core.line_over(range, &p, s.as_ref().expect("direction"), scratch);
+                    ChunkOut::default()
+                }
                 KernelKind::Fused { grad } => {
                     let gslice = if grad { Some(&mut *scratch) } else { None };
                     let (value, derivative, curvature) =
@@ -764,7 +817,7 @@ impl<U: Utility + Send + Sync + 'static> PlacementObjective<U> {
                         .dir_derivative_over(0..n, p, s.expect("direction"))
                 }
                 KernelKind::Curvature => self.core.curvature_over(0..n, p, s.expect("direction")),
-                KernelKind::Gradient | KernelKind::Fused { .. } => {
+                KernelKind::Gradient | KernelKind::Fused { .. } | KernelKind::Line => {
                     unreachable!("scalar kernels only")
                 }
             };
@@ -776,7 +829,7 @@ impl<U: Utility + Send + Sync + 'static> PlacementObjective<U> {
                     KernelKind::Value => o.value,
                     KernelKind::DirDerivative => o.derivative,
                     KernelKind::Curvature => o.curvature,
-                    KernelKind::Gradient | KernelKind::Fused { .. } => {
+                    KernelKind::Gradient | KernelKind::Fused { .. } | KernelKind::Line => {
                         unreachable!("scalar kernels only")
                     }
                 })
@@ -818,9 +871,8 @@ impl<U: Utility + Send + Sync + 'static> PlacementObjective<U> {
     /// second directional derivatives along `s` (when given), and the full
     /// gradient written into `grad` (when given) — all from **one** sweep
     /// over the rows, with `ρ_k` and the utility derivatives computed once
-    /// per row. The solver's Newton line search uses this for its `φ'`/`φ''`
-    /// probes and the solve loop for its value+gradient iterations, halving
-    /// the CSR traffic of the hot path.
+    /// per row. The exact rate model's line-search probes and the solve
+    /// loop's value+gradient iterations go through it.
     pub fn eval_fused(
         &self,
         p: &Vector,
@@ -885,6 +937,34 @@ impl<U: Utility + Send + Sync + 'static> PlacementObjective<U> {
             }
         }
     }
+
+    /// The line-preparation sweep of the approximate model: every row's
+    /// `(ρ_k(p), r_k·s)` pair ([`ObjectiveCore::line_over`]), fanned out
+    /// like any other evaluation and counted as one fused call. A pool
+    /// failure yields NaN pairs.
+    fn line_rows(&self, p: &Vector, s: &Vector) -> Vec<f64> {
+        self.recorder.counter_add("eval_calls_total", 1);
+        self.recorder.counter_add("eval_fused_calls_total", 1);
+        let n = self.core.num_ods();
+        let mut rows = vec![0.0; 2 * n];
+        let Some((pool, ranges)) = self.plan() else {
+            self.core.line_over(0..n, p, s, &mut rows);
+            return rows;
+        };
+        let task = self.chunk_task(KernelKind::Line, p, Some(s));
+        match self.run_pooled(pool, &ranges, task, |slot| {
+            self.scratch.take(2 * ranges[slot].len())
+        }) {
+            Ok(outs) => {
+                for (range, (_, buf)) in ranges.iter().zip(outs) {
+                    rows[2 * range.start..2 * range.end].copy_from_slice(&buf);
+                    self.scratch.put(buf);
+                }
+            }
+            Err(err) => rows.fill(self.poison(err)),
+        }
+        rows
+    }
 }
 
 impl<U: Utility + Send + Sync + 'static> Objective for PlacementObjective<U> {
@@ -920,6 +1000,19 @@ impl<U: Utility + Send + Sync + 'static> Objective for PlacementObjective<U> {
 
     fn value_and_gradient_into(&self, p: &Vector, out: &mut Vector) -> f64 {
         self.eval_fused(p, None, Some(out)).value
+    }
+
+    /// The approximate model's rates are linear in `p`, so one sweep at
+    /// `t = 0` prepares the whole line; the exact model probes trial
+    /// points.
+    fn prepare_line<'a>(&'a self, p: &'a Vector, s: &'a Vector) -> Box<dyn LineProbe + 'a> {
+        match self.core.rate_model {
+            RateModel::Approximate => Box::new(PreparedLine {
+                core: &self.core,
+                rows: self.line_rows(p, s),
+            }),
+            RateModel::Exact => Box::new(TrialPoints::new(self, p, s)),
+        }
     }
 }
 
@@ -1186,6 +1279,103 @@ mod tests {
                 let v2 = obj.value_and_gradient_into(&p, &mut g2);
                 assert!(tol(v2, fused.value));
                 assert_eq!(g2, obj.gradient(&p));
+            }
+        }
+    }
+
+    /// One random OD term: sparse row, weight, SRE utility constant.
+    type OdSpec = (Vec<(usize, f64)>, f64, f64);
+
+    /// A random objective plus a point `p` in the box `[0, 0.6]^dim`, a
+    /// direction `s` and a step fraction. One extra OD spans every variable
+    /// at `r = 1` and the first two rates start above 0.51, so its
+    /// approximate rate starts clamped at 1; random rows may cross 1 along
+    /// the line too.
+    fn line_case(
+    ) -> impl proptest::strategy::Strategy<Value = (usize, Vec<OdSpec>, Vec<f64>, Vec<f64>, f64)>
+    {
+        use proptest::prelude::*;
+        (2usize..16).prop_flat_map(|dim| {
+            (
+                Just(dim),
+                prop::collection::vec(
+                    (
+                        prop::collection::vec((0..dim, 0.05f64..1.0), 1..6),
+                        0.1f64..2.0,
+                        1e-6f64..1e-2,
+                    ),
+                    1..24,
+                ),
+                prop::collection::vec(0.0f64..0.6, dim..=dim),
+                prop::collection::vec(-1.0f64..1.0, dim..=dim),
+                0.0f64..1.0,
+            )
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The prepared line answers every probe like the trial point
+        /// `p + t·s` does, and preparing the approximate model's line costs
+        /// one fused sweep (the exact model's trial points one per probe).
+        #[test]
+        fn prepared_line_matches_trial_point_probes(
+            (dim, mut ods, mut p, s, frac) in line_case()
+        ) {
+            ods.push(((0..dim).map(|v| (v, 1.0)).collect(), 1.0, 1e-3));
+            p[0] = 0.51 + 0.04 * frac;
+            p[1] = 0.55 - 0.04 * frac;
+            let alpha = 0.6;
+            let t_max = (0..dim)
+                .filter_map(|v| match s[v] {
+                    x if x > 0.0 => Some((alpha - p[v]) / x),
+                    x if x < 0.0 => Some(-p[v] / x),
+                    _ => None,
+                })
+                .fold(10.0, f64::min);
+            let (p, s) = (Vector::from(p), Vector::from(s));
+            let mut ts = vec![frac * t_max];
+            ts.extend((0..=5).map(|i| t_max * i as f64 / 5.0));
+            for model in [RateModel::Approximate, RateModel::Exact] {
+                for pooled in [false, true] {
+                    let rec = Recorder::enabled();
+                    let obj = PlacementObjective::from_parts(
+                        ods.iter().map(|&(_, _, c)| SreUtility::new(c)).collect(),
+                        ods.iter().map(|&(_, w, _)| w).collect(),
+                        ods.iter().map(|(row, _, _)| row.clone()).collect(),
+                        model,
+                        dim,
+                    )
+                    .with_recorder(rec.clone());
+                    let obj = if pooled {
+                        obj.with_parallel(force_parallel(2)).with_pool(EvalPool::new(2))
+                    } else {
+                        obj
+                    };
+                    let fused = || rec.snapshot().counter("eval_fused_calls_total").unwrap_or(0);
+                    let (sweep, per_probe) = match model {
+                        RateModel::Approximate => (1, 0),
+                        RateModel::Exact => (0, 1),
+                    };
+                    let before = fused();
+                    let mut line = obj.prepare_line(&p, &s);
+                    proptest::prop_assert_eq!(fused() - before, sweep, "{:?} preparation", model);
+                    for &t in &ts {
+                        let before = fused();
+                        let (d, c) = line.derivatives(t);
+                        proptest::prop_assert_eq!(fused() - before, per_probe, "{:?} probe", model);
+                        let mut x = p.clone();
+                        x.axpy(t, &s);
+                        let (d_ref, c_ref) = obj.derivatives_along(&x, &s);
+                        let close = |a: f64, b: f64| (a - b).abs() <= 1e-10 * a.abs().max(b.abs());
+                        proptest::prop_assert!(
+                            close(d, d_ref) && close(c, c_ref),
+                            "{:?} pooled={} t={}: ({}, {}) vs ({}, {})",
+                            model, pooled, t, d, c, d_ref, c_ref
+                        );
+                    }
+                }
             }
         }
     }

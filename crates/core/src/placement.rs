@@ -6,7 +6,10 @@ use crate::{
 };
 use nws_linalg::Vector;
 use nws_obs::Recorder;
-use nws_solver::{Diagnostics, Solver, SolverOptions, TerminationReason};
+use nws_solver::{
+    compute_multipliers, ActiveSet, Diagnostics, Objective, Solver, SolverOptions,
+    TerminationReason,
+};
 use nws_topo::LinkId;
 
 /// Rates below this threshold count as "monitor not activated" when
@@ -186,12 +189,17 @@ fn finish_solution(
 /// `previous_rates` is indexed by topology link (as in
 /// [`PlacementSolution::rates`], possibly from a *different* topology epoch —
 /// entries for links absent from this task's candidate set are ignored). The
-/// vector is Euclidean-projected onto the feasible box-plus-budget set
-/// (`nws_solver::BoxLinearProblem::project_onto`) before the solve, so a
-/// warm start that violates the new budget equality or per-link caps — as
-/// happens after a `set_theta` or a link failure — lands on the *nearest*
-/// feasible point instead of being rescaled or rejected. Non-finite entries
-/// are treated as 0.
+/// vector is Euclidean-projected onto the face of the feasible
+/// box-plus-budget set on which its zero and non-finite entries stay 0
+/// (`nws_solver::BoxLinearProblem::project_onto_face`) before the solve, so
+/// a warm start that violates the new budget equality or per-link caps — as
+/// happens after a `set_theta`, a demand shift or a link failure — lands on
+/// the nearest feasible point with the same monitors off, instead of being
+/// rescaled or rejected. When the carried monitors cannot spend the budget
+/// even at their caps, the projection falls back to the whole feasible set.
+/// The off monitors whose KKT multiplier is already negative at that point
+/// (those the new demands or routes need) join the face before the solve,
+/// which releases any others the optimum needs.
 ///
 /// # Errors
 /// Same conditions as [`solve_placement`].
@@ -228,13 +236,38 @@ pub fn solve_placement_warm_observed(
     let index = ReducedIndex::new(task);
     let problem = build_problem(task, &index)?;
 
+    let objective = PlacementObjective::new(task, &index, config.rate_model)
+        .with_parallel(config.parallel)
+        .with_recorder(rec.clone());
+
     // Reduce to the candidate coordinates, then project onto the feasible
-    // set. The projection handles every violation class at once: rates above
-    // the caps, a stale budget after a θ change, and non-finite garbage.
+    // face spanned by the carried monitors. The projection handles every
+    // violation class at once: rates above the caps, a stale budget after a
+    // θ or demand change, and non-finite garbage.
     let reduced: Vector = (0..index.dim())
         .map(|v| previous_rates[index.link(v).index()])
         .collect();
-    let mut start = problem.project_onto(&reduced);
+    let mut support: Vec<bool> = reduced.iter().map(|&x| x != 0.0 && x.is_finite()).collect();
+    let mut start = problem.project_onto_face(&reduced, &support);
+    // One KKT release step before the solve: an off monitor whose bound
+    // multiplier is already negative at the start (the new demands or routes
+    // make it worth its share of θ) joins the face now, rather than after
+    // the solver has converged without it (as it releases bounds at its
+    // stationary points).
+    let active = ActiveSet::classify(&start, &problem, config.solver.bound_snap_tol);
+    let kkt = compute_multipliers(
+        &objective.gradient(&start),
+        &active,
+        &problem,
+        config.solver.multiplier_tol,
+    );
+    let released: Vec<usize> = kkt.negative.into_iter().filter(|&i| !support[i]).collect();
+    if !released.is_empty() {
+        for i in released {
+            support[i] = true;
+        }
+        start = problem.project_onto_face(&reduced, &support);
+    }
     // Defense in depth: if the projection ever fails to certify feasibility
     // (float pathologies), fall back to the canonical interior start rather
     // than handing the solver a mis-start.
@@ -242,9 +275,6 @@ pub fn solve_placement_warm_observed(
         start = problem.feasible_start();
     }
 
-    let objective = PlacementObjective::new(task, &index, config.rate_model)
-        .with_parallel(config.parallel)
-        .with_recorder(rec.clone());
     let solver = Solver::new(config.solver);
     let sol = solver.maximize_from_observed(&objective, &problem, start, rec)?;
     Ok(finish_solution(task, &index, sol))
@@ -494,6 +524,34 @@ mod tests {
         let cold = solve_placement(&today, &PlacementConfig::default()).unwrap();
         assert!(warm.kkt_verified);
         assert!((warm.objective - cold.objective).abs() < 1e-6);
+    }
+
+    #[test]
+    fn warm_start_releases_the_monitors_an_unsampled_od_needs() {
+        // The carried plan leaves the mouse unsampled (its monitors off) and
+        // under-spends θ: the face start keeps those monitors off, so they
+        // must join it up front for the solve to need no release of its own.
+        let task = two_od_task(20_000.0);
+        let cold = solve_placement(&task, &PlacementConfig::default()).unwrap();
+        let elephant = task.routing().links_of_od(0);
+        let mut carried = cold.rates.clone();
+        for l in task.routing().links_of_od(1) {
+            if !elephant.contains(&l) {
+                carried[l.index()] = 0.0;
+            }
+        }
+        assert_eq!(
+            evaluate_rates(&task, &carried).effective_rates_approx[1],
+            0.0
+        );
+        let warm = solve_placement_warm(&task, &PlacementConfig::default(), &carried).unwrap();
+        assert!(warm.kkt_verified);
+        assert!((warm.objective - cold.objective).abs() < 1e-8);
+        assert_eq!(
+            warm.diagnostics.constraint_releases, 0,
+            "{:?}",
+            warm.diagnostics
+        );
     }
 
     #[test]

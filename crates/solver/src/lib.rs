@@ -73,7 +73,7 @@ pub use diagnostics::{Diagnostics, Solution, TerminationReason};
 pub use error::SolverError;
 pub use hooks::{GradientTrace, HookAction, IterationInfo, NoHooks, SolverHooks};
 pub use kkt::{compute_multipliers, KktReport, Multipliers};
-pub use line_search::{LineSearchOutcome, NewtonLineSearch};
+pub use line_search::{LineProbe, LineSearchOutcome, NewtonLineSearch, TrialPoints};
 pub use problem::{BoxLinearProblem, Objective};
 pub use projection::project_gradient;
 pub use solve::{SolveBudget, Solver, SolverOptions};

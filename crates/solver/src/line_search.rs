@@ -55,52 +55,19 @@ impl NewtonLineSearch {
         t_max: f64,
     ) -> Result<LineSearchOutcome> {
         assert!(t_max >= 0.0, "t_max must be ≥ 0, got {t_max}");
-        // One trial-point buffer serves every φ'/φ'' evaluation of this
-        // search. Each Newton probe needs both derivatives at the same `t`,
-        // so it calls the fused `derivatives_along` — objectives with a
-        // single-pass kernel (e.g. sparse-row evaluation) produce the pair
-        // in one data sweep instead of two. The boundary check at `t_max`
-        // only needs the sign of φ', so it stays on the cheaper
-        // `directional_derivative`.
-        let scratch = std::cell::RefCell::new(p.clone());
-        let phi_d = |t: f64| -> Result<f64> {
-            let mut x = scratch.borrow_mut();
-            x.copy_from(p);
-            x.axpy(t, s);
-            let d = obj.directional_derivative(&x, s);
-            if !d.is_finite() {
-                return Err(SolverError::NonFiniteObjective(format!(
-                    "φ'({t}) is not finite"
-                )));
-            }
-            Ok(d)
-        };
-        let phi_dc = |t: f64| -> Result<(f64, f64)> {
-            let mut x = scratch.borrow_mut();
-            x.copy_from(p);
-            x.axpy(t, s);
-            let (d, c) = obj.derivatives_along(&x, s);
-            if !d.is_finite() {
-                return Err(SolverError::NonFiniteObjective(format!(
-                    "φ'({t}) is not finite"
-                )));
-            }
-            if !c.is_finite() {
-                return Err(SolverError::NonFiniteObjective(format!(
-                    "φ''({t}) is not finite"
-                )));
-            }
-            Ok((d, c))
-        };
-
-        let (d0, c0) = phi_dc(0.0)?;
+        // The line is prepared once and serves every φ'/φ'' probe of this
+        // search ([`Objective::prepare_line`]). Each Newton probe needs both
+        // derivatives at the same `t`; the boundary check at `t_max` only
+        // needs the sign of φ', so it asks for φ' alone.
+        let mut line = obj.prepare_line(p, s);
+        let (d0, c0) = derivatives(&mut *line, 0.0)?;
         if d0 <= 0.0 {
             return Ok(LineSearchOutcome::NoProgress);
         }
         if t_max == 0.0 {
             return Ok(LineSearchOutcome::NoProgress);
         }
-        let d_end = phi_d(t_max)?;
+        let d_end = finite("φ'", t_max, line.derivative(t_max))?;
         if d_end >= 0.0 {
             return Ok(LineSearchOutcome::ReachedMax);
         }
@@ -115,7 +82,7 @@ impl NewtonLineSearch {
             0.5 * t_max
         };
         for _ in 0..self.max_iters {
-            let (d, c) = phi_dc(t)?;
+            let (d, c) = derivatives(&mut *line, t)?;
             if d.abs() <= tol {
                 return Ok(LineSearchOutcome::Interior(t));
             }
@@ -135,6 +102,77 @@ impl NewtonLineSearch {
             }
         }
         Ok(LineSearchOutcome::Interior(0.5 * (lo + hi)))
+    }
+}
+
+/// `(φ'(t), φ''(t))` from `line`, or a typed error if either is not finite.
+fn derivatives(line: &mut dyn LineProbe, t: f64) -> Result<(f64, f64)> {
+    let (d, c) = line.derivatives(t);
+    Ok((finite("φ'", t, d)?, finite("φ''", t, c)?))
+}
+
+/// `v`, or a typed error naming the non-finite derivative `what` at `t`.
+fn finite(what: &str, t: f64, v: f64) -> Result<f64> {
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(SolverError::NonFiniteObjective(format!(
+            "{what}({t}) is not finite"
+        )))
+    }
+}
+
+/// `φ(t) = f(p + t·s)` along one search line, as
+/// [`Objective::prepare_line`] hands it to the line search.
+pub trait LineProbe {
+    /// `(φ'(t), φ''(t))`.
+    fn derivatives(&mut self, t: f64) -> (f64, f64);
+
+    /// `φ'(t)` alone; the default drops `φ''` from
+    /// [`LineProbe::derivatives`].
+    fn derivative(&mut self, t: f64) -> f64 {
+        self.derivatives(t).0
+    }
+}
+
+/// The default [`LineProbe`]: every probe forms the trial point `p + t·s`
+/// in one reused buffer and evaluates the objective there
+/// ([`Objective::derivatives_along`], or
+/// [`Objective::directional_derivative`] when only `φ'` is asked for).
+pub struct TrialPoints<'a, O: ?Sized> {
+    obj: &'a O,
+    p: &'a Vector,
+    s: &'a Vector,
+    x: Vector,
+}
+
+impl<'a, O: Objective + ?Sized> TrialPoints<'a, O> {
+    /// The line through `p` along `s` on `obj`.
+    pub fn new(obj: &'a O, p: &'a Vector, s: &'a Vector) -> Self {
+        TrialPoints {
+            obj,
+            p,
+            s,
+            x: p.clone(),
+        }
+    }
+
+    fn trial(&mut self, t: f64) -> &Vector {
+        self.x.copy_from(self.p);
+        self.x.axpy(t, self.s);
+        &self.x
+    }
+}
+
+impl<O: Objective + ?Sized> LineProbe for TrialPoints<'_, O> {
+    fn derivatives(&mut self, t: f64) -> (f64, f64) {
+        let (obj, s) = (self.obj, self.s);
+        obj.derivatives_along(self.trial(t), s)
+    }
+
+    fn derivative(&mut self, t: f64) -> f64 {
+        let (obj, s) = (self.obj, self.s);
+        obj.directional_derivative(self.trial(t), s)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Problem definition: objective trait and the box-plus-equality polytope.
 
-use crate::{Result, SolverError};
+use crate::{LineProbe, Result, SolverError, TrialPoints};
 use nws_linalg::Vector;
 
 /// A twice continuously differentiable concave objective to *maximize*.
@@ -32,10 +32,11 @@ pub trait Objective {
 
     /// First directional derivative along `s` at `p`: `∇f(p)·s`.
     ///
-    /// The Newton line search evaluates this several times per step; the
-    /// default materializes the full gradient, while separable objectives
-    /// can compute the contraction directly without forming it. Overrides
-    /// must agree with `gradient(p).dot(s)` up to float rounding.
+    /// The trial-point line probe ([`TrialPoints`]) evaluates this at the
+    /// segment end; the default materializes the full gradient, while
+    /// separable objectives can compute the contraction directly without
+    /// forming it. Overrides must agree with `gradient(p).dot(s)` up to
+    /// float rounding.
     fn directional_derivative(&self, p: &Vector, s: &Vector) -> f64 {
         self.gradient(p).dot(s)
     }
@@ -63,6 +64,19 @@ pub trait Objective {
     fn value_and_gradient_into(&self, p: &Vector, out: &mut Vector) -> f64 {
         self.gradient_into(p, out);
         self.value(p)
+    }
+
+    /// `φ(t) = f(p + t·s)` restricted to one search line, prepared once per
+    /// line search: the returned probe answers `(φ'(t), φ''(t))` for any `t`.
+    ///
+    /// The default probes trial points: each call forms `p + t·s` and
+    /// evaluates [`Objective::derivatives_along`] there. Objectives whose
+    /// restriction to a line collapses to a few scalars (e.g. one linear
+    /// rate per separable term) should override it and serve every probe
+    /// from those scalars; overrides must agree with the trial-point probe
+    /// up to float rounding.
+    fn prepare_line<'a>(&'a self, p: &'a Vector, s: &'a Vector) -> Box<dyn LineProbe + 'a> {
+        Box::new(TrialPoints::new(self, p, s))
     }
 }
 
@@ -175,28 +189,63 @@ impl BoxLinearProblem {
     /// are treated as 0 before projecting, so a corrupted warm-start vector
     /// degrades gracefully instead of poisoning the solve.
     ///
-    /// This is the warm-start re-projection hook: after an event changes
-    /// `rhs` (a `set_theta`) or the bounds/dimension (a link failure), the
-    /// previous solution generally violates the budget equality or the caps;
-    /// projecting recovers the *nearest* feasible point, which preserves the
-    /// active-set structure far better than rescaling.
+    /// Every coordinate moves by the same `−μ·a_i` before clamping, so when
+    /// `p` under-spends the budget (`μ < 0`) each zero coordinate is lifted
+    /// to `−μ·a_i`; a warm start that should keep its zeros uses
+    /// [`BoxLinearProblem::project_onto_face`].
     ///
     /// # Panics
     /// Panics if `p`'s length differs from the problem dimension.
     pub fn project_onto(&self, p: &Vector) -> Vector {
         assert_eq!(p.len(), self.dim(), "projection input length mismatch");
-        let sanitized: Vector = p
-            .iter()
-            .map(|&v| if v.is_finite() { v } else { 0.0 })
-            .collect();
-        let consumed = |mu: f64| -> f64 {
-            (0..self.dim())
-                .map(|i| {
-                    self.eq_normal[i]
-                        * (sanitized[i] - mu * self.eq_normal[i]).clamp(0.0, self.upper[i])
-                })
-                .sum()
+        self.project_over(&sanitized(p), |_| true)
+    }
+
+    /// Euclidean projection of `p` onto the face of the feasible set on
+    /// which the coordinates outside `support` stay 0 — the warm-start
+    /// re-projection hook. Non-finite coordinates of `p` count as 0.
+    ///
+    /// After an event changes `rhs` (a `set_theta`), the demands behind the
+    /// loads `a`, or the bounds (a link failure), the previous solution
+    /// generally violates the budget equality or the caps. Projecting it
+    /// over the monitors it carries — `support` `S`, normally its nonzero,
+    /// finite coordinates — repairs that with the same bisection on `μ` as
+    /// [`BoxLinearProblem::project_onto`] while every coordinate outside `S`
+    /// stays 0, so monitors that were off stay off instead of being lifted
+    /// to `−μ·a_i` and switched back off by the solver one bound hit at a
+    /// time. When `S` cannot carry the budget (`Σ_S a_i·upper_i < rhs`) the
+    /// face holds no feasible point and this falls back to the full
+    /// projection.
+    ///
+    /// # Panics
+    /// Panics if `p` or `support` is not of the problem dimension.
+    pub fn project_onto_face(&self, p: &Vector, support: &[bool]) -> Vector {
+        assert_eq!(p.len(), self.dim(), "projection input length mismatch");
+        assert_eq!(support.len(), self.dim(), "support length mismatch");
+        let capacity: f64 = (0..self.dim())
+            .filter(|&i| support[i])
+            .map(|i| self.eq_normal[i] * self.upper[i])
+            .sum();
+        if capacity < self.eq_rhs {
+            return self.project_onto(p);
+        }
+        self.project_over(&sanitized(p), |i| support[i])
+    }
+
+    /// The bisection behind both projections: `x_i(μ) = clamp(v_i − μ·a_i,
+    /// 0, upper_i)` on the coordinates `on` selects and 0 elsewhere, for the
+    /// `μ` with `a·x(μ) = rhs`. The selected coordinates must be able to
+    /// carry `rhs`.
+    fn project_over(&self, v: &Vector, on: impl Fn(usize) -> bool) -> Vector {
+        let x = |i: usize, mu: f64| -> f64 {
+            if on(i) {
+                (v[i] - mu * self.eq_normal[i]).clamp(0.0, self.upper[i])
+            } else {
+                0.0
+            }
         };
+        let consumed =
+            |mu: f64| -> f64 { (0..self.dim()).map(|i| self.eq_normal[i] * x(i, mu)).sum() };
         // Bracket the multiplier by doubling outwards from [-1, 1].
         let (mut lo, mut hi) = (-1.0_f64, 1.0_f64);
         while consumed(lo) < self.eq_rhs {
@@ -220,9 +269,7 @@ impl BoxLinearProblem {
             }
         }
         let mu = 0.5 * (lo + hi);
-        (0..self.dim())
-            .map(|i| (sanitized[i] - mu * self.eq_normal[i]).clamp(0.0, self.upper[i]))
-            .collect()
+        (0..self.dim()).map(|i| x(i, mu)).collect()
     }
 
     /// True iff `p` satisfies all constraints to within `tol` (bounds
@@ -239,6 +286,13 @@ impl BoxLinearProblem {
         let eq = self.eq_normal.dot(p);
         (eq - self.eq_rhs).abs() <= tol * self.eq_rhs.max(1.0)
     }
+}
+
+/// `p` with its non-finite coordinates replaced by 0.
+fn sanitized(p: &Vector) -> Vector {
+    p.iter()
+        .map(|&v| if v.is_finite() { v } else { 0.0 })
+        .collect()
 }
 
 #[cfg(test)]
@@ -275,6 +329,12 @@ mod tests {
         let v = obj.value_and_gradient_into(&p, &mut g);
         assert_eq!(v, obj.value(&p));
         assert_eq!(g, obj.gradient(&p));
+        // The default line probes the trial point p + t·s.
+        let mut line = obj.prepare_line(&p, &s);
+        let mut x = p.clone();
+        x.axpy(0.75, &s);
+        assert_eq!(line.derivatives(0.75), obj.derivatives_along(&x, &s));
+        assert_eq!(line.derivative(0.75), obj.directional_derivative(&x, &s));
     }
 
     fn simple() -> BoxLinearProblem {
@@ -422,6 +482,113 @@ mod tests {
     #[should_panic(expected = "projection input length mismatch")]
     fn projection_length_checked() {
         simple().project_onto(&Vector::zeros(2));
+    }
+
+    /// Four coordinates, loads 10..40, budget 30: room to lift anything.
+    fn four() -> BoxLinearProblem {
+        BoxLinearProblem::new(
+            Vector::filled(4, 1.0),
+            Vector::from(vec![10.0, 20.0, 30.0, 40.0]),
+            30.0,
+        )
+        .unwrap()
+    }
+
+    /// `p`'s carried support: its nonzero, finite coordinates.
+    fn carried(p: &Vector) -> Vec<bool> {
+        p.iter().map(|&v| v != 0.0 && v.is_finite()).collect()
+    }
+
+    #[test]
+    fn face_projection_keeps_carried_zeros_off() {
+        let pb = four();
+        // Under-spends the budget (a·p = 18 < 30), so μ < 0.
+        let p = Vector::from(vec![0.0, 0.5, 0.0, 0.2]);
+        let x = pb.project_onto_face(&p, &carried(&p));
+        assert_eq!((x[0], x[2]), (0.0, 0.0), "{x:?}");
+        assert!(x[1] > 0.5 && x[3] > 0.2, "{x:?}");
+        assert!(pb.is_feasible(&x, 1e-9), "{x:?}");
+        // The full projection lifts every zero coordinate instead.
+        let full = pb.project_onto(&p);
+        assert!(full[0] > 0.0 && full[2] > 0.0, "{full:?}");
+        // A zero coordinate inside the support is lifted like any other.
+        let x = pb.project_onto_face(&p, &[true, true, false, true]);
+        assert!(x[0] > 0.0 && x[2] == 0.0, "{x:?}");
+        assert!(pb.is_feasible(&x, 1e-9), "{x:?}");
+    }
+
+    #[test]
+    fn face_projection_is_feasible() {
+        let pb = four();
+        for point in [
+            Vector::from(vec![0.0, 0.9, 0.9, 0.0]),  // over budget
+            Vector::from(vec![0.0, 0.0, 0.01, 0.0]), // under budget, one on
+            Vector::from(vec![5.0, 0.0, -3.0, 0.5]), // outside the box
+            Vector::from(vec![0.0, 1e-300, 0.0, 0.0]),
+        ] {
+            let x = pb.project_onto_face(&point, &carried(&point));
+            assert!(pb.is_feasible(&x, 1e-9), "{point:?} -> {x:?}");
+        }
+    }
+
+    #[test]
+    fn face_projection_equals_full_projection_without_zeros() {
+        let pb = four();
+        for point in [
+            Vector::from(vec![0.1, 0.2, 0.3, 0.4]),
+            Vector::from(vec![1e-6, 2e-6, 3e-6, 4e-6]),
+            Vector::from(vec![5.0, -3.0, 0.5, 2.0]),
+        ] {
+            assert_eq!(
+                pb.project_onto_face(&point, &carried(&point)),
+                pb.project_onto(&point)
+            );
+        }
+    }
+
+    #[test]
+    fn face_projection_falls_back_when_the_support_cannot_carry_the_budget() {
+        let pb = four();
+        // Σ_S a_i·upper_i = 20 < 30: no point of the face is feasible.
+        let p = Vector::from(vec![0.0, 0.3, 0.0, 0.0]);
+        let x = pb.project_onto_face(&p, &carried(&p));
+        assert_eq!(x, pb.project_onto(&p));
+        assert!(pb.is_feasible(&x, 1e-9), "{x:?}");
+        // Exactly enough capacity: the face's single point, all of S at its cap.
+        let pb = BoxLinearProblem::new(
+            Vector::filled(4, 1.0),
+            Vector::from(vec![10.0, 20.0, 30.0, 40.0]),
+            20.0,
+        )
+        .unwrap();
+        let x = pb.project_onto_face(&p, &carried(&p));
+        assert!(
+            x.approx_eq(&Vector::from(vec![0.0, 1.0, 0.0, 0.0]), 1e-9),
+            "{x:?}"
+        );
+    }
+
+    #[test]
+    fn face_projection_treats_non_finite_entries_as_off() {
+        let pb = four();
+        for (bad0, bad2) in [(f64::NAN, f64::INFINITY), (f64::NEG_INFINITY, f64::NAN)] {
+            // a·p over the finite support = 26 < 30: those two are lifted.
+            let p = Vector::from(vec![bad0, 0.5, bad2, 0.4]);
+            let x = pb.project_onto_face(&p, &carried(&p));
+            assert_eq!((x[0], x[2]), (0.0, 0.0), "{x:?}");
+            assert!(x[1] > 0.5 && x[3] > 0.4, "{x:?}");
+            assert!(pb.is_feasible(&x, 1e-9), "{x:?}");
+            // Inside the support, a non-finite entry counts as 0.
+            let x = pb.project_onto_face(&p, &[true; 4]);
+            assert!(x.is_finite() && x[0] > 0.0, "{x:?}");
+            assert_eq!(x, pb.project_onto(&p));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "support length mismatch")]
+    fn face_projection_support_length_checked() {
+        four().project_onto_face(&Vector::zeros(4), &[true; 3]);
     }
 
     #[test]

@@ -223,7 +223,6 @@ impl Solver {
         #[allow(unused_assignments)]
         let mut last_resid = f64::INFINITY;
 
-        let trace = std::env::var_os("NWS_SOLVER_TRACE").is_some();
         let mut trajectory: Vec<f64> = Vec::new();
         // Gradient buffer reused across iterations (objectives with a
         // `gradient_into` override fill it without allocating).
@@ -241,13 +240,6 @@ impl Solver {
                 }
             }
             iterations += 1;
-            if trace {
-                let eq_err = problem.eq_normal().dot(&p) - problem.eq_rhs();
-                eprintln!(
-                    "TRACE iter {iterations}: eq_err={eq_err:.6e} free={} p={p}",
-                    active.num_free()
-                );
-            }
             {
                 let _phase = rec.span("direction");
                 // When the trajectory is recorded, the fused kernel produces
@@ -561,7 +553,6 @@ impl Solver {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     fn finish_with_trajectory<O: Objective>(
         &self,
