@@ -17,7 +17,6 @@ use nws_linalg::Vector;
 use nws_obs::Recorder;
 use nws_solver::{BoxLinearProblem, LineProbe, Objective, TrialPoints};
 use nws_topo::LinkId;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -143,14 +142,19 @@ impl ScratchPool {
 #[derive(Debug, Clone)]
 pub struct ReducedIndex {
     links: Vec<LinkId>,
-    pos: HashMap<LinkId, usize>,
+    /// The variable of each topology link, indexed by link id (`None` off
+    /// the candidate set).
+    pos: Vec<Option<usize>>,
 }
 
 impl ReducedIndex {
     /// Builds the index over the task's candidate links.
     pub fn new(task: &MeasurementTask) -> Self {
         let links = task.candidate_links().to_vec();
-        let pos = links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
+        let mut pos = vec![None; task.topology().num_links()];
+        for (v, &l) in links.iter().enumerate() {
+            pos[l.index()] = Some(v);
+        }
         ReducedIndex { links, pos }
     }
 
@@ -166,7 +170,7 @@ impl ReducedIndex {
 
     /// The variable of `link`, if it is a candidate.
     pub fn var(&self, link: LinkId) -> Option<usize> {
-        self.pos.get(&link).copied()
+        self.pos.get(link.index()).copied().flatten()
     }
 
     /// Expands a reduced rate vector to a full per-topology-link vector
@@ -221,7 +225,13 @@ impl<U: Utility> ObjectiveCore<U> {
     }
 
     fn effective_rate(&self, k: usize, p: &Vector) -> f64 {
-        match self.rate_model {
+        self.rate_under(self.rate_model, k, p)
+    }
+
+    /// OD `k`'s effective rate at `p` under `model`, whatever this core's
+    /// own model: both read the same row.
+    fn rate_under(&self, model: RateModel, k: usize, p: &Vector) -> f64 {
+        match model {
             RateModel::Approximate => self
                 .row(k)
                 .iter()
@@ -489,12 +499,13 @@ impl PlacementObjective<SreUtility> {
 
 /// The sparse `(variable, r_{k,i})` rows of a task against an index.
 pub(crate) fn task_rows(task: &MeasurementTask, index: &ReducedIndex) -> Vec<Vec<(usize, f64)>> {
-    (0..task.ods().len())
+    let routing = task.routing();
+    (0..routing.num_ods())
         .map(|k| {
-            task.routing()
-                .links_of_od(k)
-                .into_iter()
-                .filter_map(|l| index.var(l).map(|v| (v, task.routing().entry(k, l))))
+            routing
+                .row(k)
+                .iter()
+                .filter_map(|&(l, r)| index.var(l).map(|v| (v, r)))
                 .collect()
         })
         .collect()
@@ -675,8 +686,15 @@ impl<U: Utility> PlacementObjective<U> {
 
     /// All per-OD effective rates at `p`.
     pub fn effective_rates(&self, p: &Vector) -> Vec<f64> {
+        self.effective_rates_under(self.core.rate_model, p)
+    }
+
+    /// All per-OD effective rates at `p` under `model`, which need not be
+    /// this objective's own: both models read the same rows, so one
+    /// objective reports a plan's approximate and exact rates alike.
+    pub fn effective_rates_under(&self, model: RateModel, p: &Vector) -> Vec<f64> {
         (0..self.num_ods())
-            .map(|k| self.effective_rate(k, p))
+            .map(|k| self.core.rate_under(model, k, p))
             .collect()
     }
 }

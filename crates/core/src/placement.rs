@@ -136,26 +136,34 @@ pub fn solve_placement_observed(
     let problem = build_problem(task, &index)?;
     let solver = Solver::new(config.solver);
     let sol = solver.maximize_observed(&objective, &problem, rec)?;
-    Ok(finish_solution(task, &index, sol))
+    Ok(finish_solution(task, &index, &objective, sol))
+}
+
+/// The per-OD reporting quantities of the reduced rates `p`, all read from
+/// `objective`'s rows whatever its own rate model: the effective rates under
+/// the approximate and the exact model, and each OD's utility at its
+/// approximate rate.
+fn od_report(objective: &PlacementObjective, p: &Vector) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let approx = objective.effective_rates_under(RateModel::Approximate, p);
+    let exact = objective.effective_rates_under(RateModel::Exact, p);
+    let utilities = approx
+        .iter()
+        .zip(objective.utilities())
+        .map(|(&rho, u)| u.value(rho))
+        .collect();
+    (approx, exact, utilities)
 }
 
 /// Converts a raw solver solution over the reduced variables into the full
 /// reporting structure (rates expanded to topology links, both effective-rate
-/// models evaluated).
+/// models evaluated on the solve's own `objective`).
 fn finish_solution(
     task: &MeasurementTask,
     index: &ReducedIndex,
+    objective: &PlacementObjective,
     sol: nws_solver::Solution,
 ) -> PlacementSolution {
-    let exact_obj = PlacementObjective::new(task, index, RateModel::Exact);
-    let approx_obj = PlacementObjective::new(task, index, RateModel::Approximate);
-    let effective_rates_approx = approx_obj.effective_rates(&sol.p);
-    let effective_rates_exact = exact_obj.effective_rates(&sol.p);
-    let utilities: Vec<f64> = effective_rates_approx
-        .iter()
-        .enumerate()
-        .map(|(k, &rho)| approx_obj.utilities()[k].value(rho))
-        .collect();
+    let (effective_rates_approx, effective_rates_exact, utilities) = od_report(objective, &sol.p);
 
     let rates = index.expand(&sol.p, task.topology().num_links());
     let active_monitors: Vec<LinkId> = task
@@ -277,7 +285,7 @@ pub fn solve_placement_warm_observed(
 
     let solver = Solver::new(config.solver);
     let sol = solver.maximize_from_observed(&objective, &problem, start, rec)?;
-    Ok(finish_solution(task, &index, sol))
+    Ok(finish_solution(task, &index, &objective, sol))
 }
 
 /// Evaluates the reporting quantities of an externally chosen rate vector
@@ -295,15 +303,10 @@ pub fn evaluate_rates(task: &MeasurementTask, rates: &[f64]) -> PlacementSolutio
     let reduced: Vector = (0..index.dim())
         .map(|v| rates[index.link(v).index()])
         .collect();
-    let approx_obj = PlacementObjective::new(task, &index, RateModel::Approximate);
-    let exact_obj = PlacementObjective::new(task, &index, RateModel::Exact);
-    let effective_rates_approx = approx_obj.effective_rates(&reduced);
-    let effective_rates_exact = exact_obj.effective_rates(&reduced);
-    let utilities: Vec<f64> = effective_rates_approx
-        .iter()
-        .enumerate()
-        .map(|(k, &rho)| approx_obj.utilities()[k].value(rho))
-        .collect();
+    let (effective_rates_approx, effective_rates_exact, utilities) = od_report(
+        &PlacementObjective::new(task, &index, RateModel::Approximate),
+        &reduced,
+    );
     let objective = utilities.iter().sum();
     let active_monitors: Vec<LinkId> = task
         .candidate_links()
@@ -340,7 +343,7 @@ mod tests {
     use super::super::placement::solve_placement_warm;
     use super::*;
     use nws_routing::OdPair;
-    use nws_topo::geant;
+    use nws_topo::{geant, LinkKind, TopologyBuilder};
 
     /// Two-OD task: one elephant (NL), one mouse (LU), no background.
     fn two_od_task(theta: f64) -> MeasurementTask {
@@ -354,6 +357,65 @@ mod tests {
             .theta(theta)
             .build()
             .unwrap()
+    }
+
+    /// An equal-cost diamond A→{X,Y}→D: A-D splits 1/2 per arm, so the
+    /// exact model raises `1 − p` to fractional powers; A-X rides one arm.
+    fn ecmp_task() -> MeasurementTask {
+        let mut b = TopologyBuilder::new();
+        let a = b.node("A");
+        let x = b.node("X");
+        let y = b.node("Y");
+        let d = b.node("D");
+        b.link(a, x, 100.0, 1.0, LinkKind::Backbone);
+        b.link(x, d, 100.0, 1.0, LinkKind::Backbone);
+        b.link(a, y, 100.0, 1.0, LinkKind::Backbone);
+        b.link(y, d, 100.0, 1.0, LinkKind::Backbone);
+        MeasurementTask::builder(b.build().unwrap())
+            .track("A-D", OdPair::new(a, d), 9e6)
+            .track("A-X", OdPair::new(a, x), 6e3)
+            .theta(20_000.0)
+            .build()
+            .unwrap()
+    }
+
+    /// Asserts that `sol`'s per-OD report equals, bit for bit, what one
+    /// separately built objective per rate model gives at its rates.
+    fn assert_report_matches_separate_builds(task: &MeasurementTask, sol: &PlacementSolution) {
+        let index = ReducedIndex::new(task);
+        let reduced: Vector = (0..index.dim())
+            .map(|v| sol.rates[index.link(v).index()])
+            .collect();
+        let approx = PlacementObjective::new(task, &index, RateModel::Approximate);
+        let exact = PlacementObjective::new(task, &index, RateModel::Exact);
+        let rho_approx = approx.effective_rates(&reduced);
+        let utilities: Vec<f64> = rho_approx
+            .iter()
+            .zip(approx.utilities())
+            .map(|(&rho, u)| u.value(rho))
+            .collect();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sol.effective_rates_approx), bits(&rho_approx));
+        assert_eq!(
+            bits(&sol.effective_rates_exact),
+            bits(&exact.effective_rates(&reduced))
+        );
+        assert_eq!(bits(&sol.utilities), bits(&utilities));
+    }
+
+    #[test]
+    fn solve_reports_match_separate_objective_builds() {
+        for task in [two_od_task(20_000.0), ecmp_task()] {
+            for rate_model in [RateModel::Approximate, RateModel::Exact] {
+                let config = PlacementConfig {
+                    rate_model,
+                    ..PlacementConfig::default()
+                };
+                let sol = solve_placement(&task, &config).unwrap();
+                assert!(sol.kkt_verified, "{rate_model:?}: {:?}", sol.diagnostics);
+                assert_report_matches_separate_builds(&task, &sol);
+            }
+        }
     }
 
     #[test]
@@ -496,6 +558,10 @@ mod tests {
         for k in 0..task.ods().len() {
             assert!((eval.effective_rates_exact[k] - sol.effective_rates_exact[k]).abs() < 1e-12);
         }
+        assert_report_matches_separate_builds(&task, &eval);
+        let ecmp = ecmp_task();
+        let ecmp_sol = solve_placement(&ecmp, &PlacementConfig::default()).unwrap();
+        assert_report_matches_separate_builds(&ecmp, &evaluate_rates(&ecmp, &ecmp_sol.rates));
     }
 
     #[test]

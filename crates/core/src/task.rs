@@ -271,7 +271,7 @@ impl TaskBuilder {
             ));
         }
         for (k, od) in self.ods.iter().enumerate() {
-            if routing.links_of_od(k).is_empty() {
+            if routing.row(k).is_empty() {
                 return Err(CoreError::InvalidTask(format!(
                     "OD {} is unroutable (no path)",
                     od.name

@@ -7,14 +7,21 @@ use nws_topo::{LinkId, Topology};
 /// OD pair `k`'s traffic that traverses link `i` (paper §III: `r_{k,i} = 1`
 /// if OD pair `i` traverses edge `j`, generalized to fractions under ECMP).
 ///
-/// Stored dense (`|F| × |E|`): the task sets in this problem are tens of OD
-/// pairs over at most a few hundred links.
+/// Stored as compressed sparse rows (CSR): an OD touches only the links of
+/// its path, so each row keeps just its `(link, fraction)` pairs with a
+/// positive fraction, in ascending link order. Storage, link loads and the
+/// covered-link set cost O(nnz) rather than O(`|F| × |E|`), and one cell is
+/// a binary search of its row.
 #[derive(Debug, Clone)]
 pub struct RoutingMatrix {
     ods: Vec<OdPair>,
     num_links: usize,
-    /// Row-major `|F| × |E|` fractions.
-    entries: Vec<f64>,
+    /// Row offsets: OD `k`'s entries span
+    /// `entries[offsets[k]..offsets[k + 1]]`; length `|F| + 1`.
+    offsets: Vec<usize>,
+    /// `(link, fraction)` pairs of all ODs, grouped by OD, links strictly
+    /// ascending within each row, fractions in `(0, 1]`.
+    entries: Vec<(LinkId, f64)>,
 }
 
 impl RoutingMatrix {
@@ -27,16 +34,23 @@ impl RoutingMatrix {
 
     /// Builds the routing matrix reusing an existing router's SPF cache.
     pub fn build_with_router(router: &Router<'_>, ods: &[OdPair]) -> RoutingMatrix {
-        let num_links = router.topology().num_links();
-        let mut entries = vec![0.0; ods.len() * num_links];
-        for (k, &od) in ods.iter().enumerate() {
-            for (l, f) in router.ecmp_fractions(od) {
-                entries[k * num_links + l.index()] = f;
-            }
+        let mut offsets = Vec::with_capacity(ods.len() + 1);
+        let mut entries = Vec::new();
+        offsets.push(0);
+        for &od in ods {
+            // `ecmp_fractions` yields each link once, in link order.
+            entries.extend(
+                router
+                    .ecmp_fractions(od)
+                    .into_iter()
+                    .filter(|&(_, f)| f > 0.0),
+            );
+            offsets.push(entries.len());
         }
         RoutingMatrix {
             ods: ods.to_vec(),
-            num_links,
+            num_links: router.topology().num_links(),
+            offsets,
             entries,
         }
     }
@@ -56,55 +70,78 @@ impl RoutingMatrix {
         &self.ods
     }
 
-    /// Fraction of OD `k`'s traffic on `link`.
+    /// OD `k`'s sparse row: the `(link, fraction)` pairs of the links it
+    /// traverses, links strictly ascending, fractions in `(0, 1]`.
+    ///
+    /// # Panics
+    /// Panics if `k` is out of range.
+    pub fn row(&self, k: usize) -> &[(LinkId, f64)] {
+        assert!(k < self.ods.len(), "OD index {k} out of range");
+        &self.entries[self.offsets[k]..self.offsets[k + 1]]
+    }
+
+    /// Fraction of OD `k`'s traffic on `link` (0 off its route), by a binary
+    /// search of its row.
     ///
     /// # Panics
     /// Panics if `k` or `link` is out of range.
     pub fn entry(&self, k: usize, link: LinkId) -> f64 {
-        assert!(k < self.ods.len(), "OD index {k} out of range");
-        self.entries[k * self.num_links + link.index()]
+        assert!(
+            link.index() < self.num_links,
+            "link index {} out of range",
+            link.index()
+        );
+        let row = self.row(k);
+        row.binary_search_by_key(&link, |&(l, _)| l)
+            .map_or(0.0, |i| row[i].1)
     }
 
     /// True if OD `k` sends any traffic over `link`.
+    ///
+    /// # Panics
+    /// Panics if `k` or `link` is out of range.
     pub fn traverses(&self, k: usize, link: LinkId) -> bool {
         self.entry(k, link) > 0.0
     }
 
     /// Links traversed by OD `k` (positive fraction), in link-id order.
     pub fn links_of_od(&self, k: usize) -> Vec<LinkId> {
-        (0..self.num_links)
-            .map(LinkId::from_index)
-            .filter(|&l| self.traverses(k, l))
-            .collect()
+        self.row(k).iter().map(|&(l, _)| l).collect()
     }
 
-    /// OD rows that traverse `link`.
+    /// OD rows that traverse `link`, ascending.
+    ///
+    /// # Panics
+    /// Panics if `link` is out of range.
     pub fn ods_on_link(&self, link: LinkId) -> Vec<usize> {
+        assert!(
+            link.index() < self.num_links,
+            "link index {} out of range",
+            link.index()
+        );
         (0..self.ods.len())
             .filter(|&k| self.traverses(k, link))
             .collect()
     }
 
-    /// Builds the inverted link→OD index of this matrix. The index is a
-    /// point-in-time snapshot; rebuild it after rerouting produces a new
-    /// matrix.
-    pub fn link_index(&self) -> OdLinkIndex {
-        OdLinkIndex::build(self)
-    }
-
     /// The union of links traversed by any OD pair — the candidate monitor
-    /// set `L ⊆ E` of the paper.
+    /// set `L ⊆ E` of the paper — in link-id order.
     pub fn covered_links(&self) -> Vec<LinkId> {
+        let mut covered = vec![false; self.num_links];
+        for &(l, _) in &self.entries {
+            covered[l.index()] = true;
+        }
         (0..self.num_links)
+            .filter(|&i| covered[i])
             .map(LinkId::from_index)
-            .filter(|&l| (0..self.ods.len()).any(|k| self.traverses(k, l)))
             .collect()
     }
 
     /// Accumulates per-link loads from per-OD demands: `U = Rᵀ·d`.
     ///
     /// `demands[k]` is OD `k`'s traffic volume (any unit); the result is the
-    /// volume each link carries from these ODs, in the same unit.
+    /// volume each link carries from these ODs, in the same unit. Each
+    /// link's load is summed over its ODs in ascending row order.
     ///
     /// # Panics
     /// Panics if `demands.len() != self.num_ods()`.
@@ -116,89 +153,11 @@ impl RoutingMatrix {
         );
         let mut loads = vec![0.0; self.num_links];
         for (k, &d) in demands.iter().enumerate() {
-            let row = &self.entries[k * self.num_links..(k + 1) * self.num_links];
-            for (i, &f) in row.iter().enumerate() {
-                if f > 0.0 {
-                    loads[i] += f * d;
-                }
+            for &(l, f) in self.row(k) {
+                loads[l.index()] += f * d;
             }
         }
         loads
-    }
-}
-
-/// Inverted index of a [`RoutingMatrix`]: for every link, the OD rows that
-/// traverse it and with what fraction — the transpose of `R` in CSR
-/// (compressed sparse row) form, rows indexed by link.
-///
-/// [`RoutingMatrix::ods_on_link`] answers the same question by scanning a
-/// dense column (`O(|F|)` per query); this index answers it in `O(1)` plus
-/// the output size, which is what incremental evaluation and per-link
-/// sensitivity analyses need when they touch every link once per sweep.
-#[derive(Debug, Clone)]
-pub struct OdLinkIndex {
-    /// `offsets[i]..offsets[i + 1]` spans link `i`'s entries; length
-    /// `num_links + 1`.
-    offsets: Vec<usize>,
-    /// `(od_row, fraction)` pairs, grouped by link, OD rows ascending within
-    /// each group.
-    entries: Vec<(usize, f64)>,
-}
-
-impl OdLinkIndex {
-    /// Builds the index by a counting-sort transpose of the dense matrix
-    /// (one pass to size the groups, one to fill them).
-    pub fn build(matrix: &RoutingMatrix) -> OdLinkIndex {
-        let num_links = matrix.num_links();
-        let mut counts = vec![0usize; num_links];
-        for k in 0..matrix.num_ods() {
-            let row = &matrix.entries[k * num_links..(k + 1) * num_links];
-            for (i, &f) in row.iter().enumerate() {
-                if f > 0.0 {
-                    counts[i] += 1;
-                }
-            }
-        }
-        let mut offsets = Vec::with_capacity(num_links + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        let mut entries = vec![(0usize, 0.0f64); acc];
-        let mut cursor = offsets[..num_links].to_vec();
-        for k in 0..matrix.num_ods() {
-            let row = &matrix.entries[k * num_links..(k + 1) * num_links];
-            for (i, &f) in row.iter().enumerate() {
-                if f > 0.0 {
-                    entries[cursor[i]] = (k, f);
-                    cursor[i] += 1;
-                }
-            }
-        }
-        OdLinkIndex { offsets, entries }
-    }
-
-    /// Number of links (rows of the index).
-    pub fn num_links(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of stored `(od, fraction)` entries across all links.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The `(od_row, fraction)` pairs of ODs traversing `link`, OD rows
-    /// ascending.
-    ///
-    /// # Panics
-    /// Panics if `link` is out of range.
-    pub fn ods_on_link(&self, link: LinkId) -> &[(usize, f64)] {
-        let i = link.index();
-        assert!(i < self.num_links(), "link index {i} out of range");
-        &self.entries[self.offsets[i]..self.offsets[i + 1]]
     }
 }
 
@@ -301,38 +260,13 @@ mod tests {
     }
 
     #[test]
-    fn link_index_matches_dense_queries() {
+    #[should_panic(expected = "out of range")]
+    fn entry_rejects_link_past_the_last() {
         let t = geant();
         let ods = janet_ods(&t);
         let r = RoutingMatrix::build(&t, &ods);
-        let idx = r.link_index();
-        assert_eq!(idx.num_links(), r.num_links());
-        for l in (0..r.num_links()).map(LinkId::from_index) {
-            let inverted: Vec<usize> = idx.ods_on_link(l).iter().map(|&(k, _)| k).collect();
-            assert_eq!(inverted, r.ods_on_link(l), "link {l:?}");
-            for &(k, f) in idx.ods_on_link(l) {
-                assert_eq!(f, r.entry(k, l), "od {k} link {l:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn link_index_nnz_counts_traversals() {
-        let t = geant();
-        let ods = janet_ods(&t);
-        let r = RoutingMatrix::build(&t, &ods);
-        let expected: usize = (0..r.num_ods()).map(|k| r.links_of_od(k).len()).sum();
-        assert_eq!(r.link_index().nnz(), expected);
-    }
-
-    #[test]
-    fn link_index_of_empty_matrix() {
-        let t = geant();
-        let r = RoutingMatrix::build(&t, &[]);
-        let idx = r.link_index();
-        assert_eq!(idx.nnz(), 0);
-        assert_eq!(idx.num_links(), t.num_links());
-        assert!(idx.ods_on_link(LinkId::from_index(0)).is_empty());
+        // On OD 0 a row-major index would land on OD 1's first link.
+        let _ = r.entry(0, LinkId::from_index(r.num_links()));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property-based tests: SPF against a Bellman–Ford oracle, ECMP flow
-//! conservation, and routing-matrix invariants on random topologies.
+//! conservation, and routing-matrix invariants (exact, over multi-source OD
+//! sets) on random topologies.
 
 use nws_routing::{OdPair, Router, RoutingMatrix, Spf};
 use nws_topo::random::{gabriel_like, ring_with_chords};
-use nws_topo::{NodeId, Topology};
+use nws_topo::{LinkId, NodeId, Topology};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Independent oracle: Bellman–Ford distances from `src`.
 fn bellman_ford(topo: &Topology, src: NodeId) -> Vec<f64> {
@@ -27,6 +29,24 @@ fn bellman_ford(topo: &Topology, src: NodeId) -> Vec<f64> {
         }
     }
     dist
+}
+
+/// Raw `(src, dst)` draws for [`draw_ods`]: up to a dozen pairs, so an OD
+/// set spans several sources.
+fn od_pairs() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    proptest::collection::vec((0usize..64, 0usize..64), 1..12)
+}
+
+/// The OD pairs of `pairs` on `topo`: indices taken modulo the node count,
+/// self-pairs dropped.
+fn draw_ods(topo: &Topology, pairs: &[(usize, usize)]) -> Vec<OdPair> {
+    let n = topo.num_nodes();
+    pairs
+        .iter()
+        .map(|&(s, d)| (s % n, d % n))
+        .filter(|&(s, d)| s != d)
+        .map(|(s, d)| OdPair::new(NodeId::from_index(s), NodeId::from_index(d)))
+        .collect()
 }
 
 fn random_topology() -> impl Strategy<Value = Topology> {
@@ -112,46 +132,63 @@ proptest! {
     }
 
     #[test]
-    fn routing_matrix_rows_match_ecmp(topo in random_topology(), seed in any::<u64>()) {
-        let n = topo.num_nodes();
-        let src = NodeId::from_index((seed as usize) % n);
-        let ods: Vec<OdPair> = topo
-            .node_ids()
-            .filter(|&d| d != src)
-            .take(5)
-            .map(|d| OdPair::new(src, d))
-            .collect();
+    fn routing_matrix_rows_match_ecmp(topo in random_topology(), pairs in od_pairs()) {
+        let ods = draw_ods(&topo, &pairs);
         prop_assume!(!ods.is_empty());
         let rm = RoutingMatrix::build(&topo, &ods);
         let router = Router::new(&topo);
         for (k, &od) in ods.iter().enumerate() {
             let fracs = router.ecmp_fractions(od);
-            let row_links = rm.links_of_od(k);
-            prop_assert_eq!(fracs.len(), row_links.len());
-            for (l, f) in fracs {
-                prop_assert!((rm.entry(k, l) - f).abs() < 1e-12);
+            let row = rm.row(k);
+            prop_assert_eq!(row.len(), fracs.len());
+            for w in row.windows(2) {
+                prop_assert!(w[0].0 < w[1].0, "row {k} not strictly ascending");
+            }
+            for &(_, f) in row {
+                prop_assert!(f > 0.0 && f <= 1.0, "row {k}: fraction {f}");
+            }
+            prop_assert_eq!(rm.links_of_od(k), row.iter().map(|&(l, _)| l).collect::<Vec<_>>());
+            // Every cell, on the route or off it, is the ECMP split bit for bit.
+            for l in topo.link_ids() {
+                let expect = fracs
+                    .iter()
+                    .find(|&&(fl, _)| fl == l)
+                    .map_or(0.0, |&(_, f)| f);
+                prop_assert_eq!(rm.entry(k, l).to_bits(), expect.to_bits(), "od {} link {:?}", k, l);
             }
         }
     }
 
     #[test]
-    fn link_loads_match_manual_accumulation(topo in random_topology(), seed in any::<u64>()) {
-        let n = topo.num_nodes();
-        let src = NodeId::from_index((seed as usize) % n);
-        let ods: Vec<OdPair> = topo
-            .node_ids()
-            .filter(|&d| d != src)
-            .map(|d| OdPair::new(src, d))
-            .collect();
+    fn routing_matrix_queries_agree_with_rows(topo in random_topology(), pairs in od_pairs()) {
+        let ods = draw_ods(&topo, &pairs);
+        let rm = RoutingMatrix::build(&topo, &ods);
+        let union: BTreeSet<LinkId> =
+            (0..ods.len()).flat_map(|k| rm.links_of_od(k)).collect();
+        prop_assert_eq!(rm.covered_links(), union.into_iter().collect::<Vec<_>>());
+        for l in topo.link_ids() {
+            let on_link = rm.ods_on_link(l);
+            for k in 0..ods.len() {
+                prop_assert_eq!(
+                    on_link.contains(&k),
+                    rm.links_of_od(k).contains(&l),
+                    "od {} link {:?}", k, l
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn link_loads_match_manual_accumulation(topo in random_topology(), pairs in od_pairs()) {
+        let ods = draw_ods(&topo, &pairs);
         let demands: Vec<f64> =
-            (0..ods.len()).map(|i| 100.0 + (i as f64) * 13.0).collect();
+            (0..ods.len()).map(|i| 100.0 + (i as f64) * 13.7).collect();
         let rm = RoutingMatrix::build(&topo, &ods);
         let loads = rm.link_loads(&demands);
         for l in topo.link_ids() {
-            let manual: f64 = (0..ods.len())
-                .map(|k| rm.entry(k, l) * demands[k])
-                .sum();
-            prop_assert!((loads[l.index()] - manual).abs() < 1e-9);
+            // The OD-ascending sum over every row, zero cells included.
+            let manual = (0..ods.len()).fold(0.0, |acc, k| acc + rm.entry(k, l) * demands[k]);
+            prop_assert_eq!(loads[l.index()].to_bits(), manual.to_bits(), "link {:?}", l);
         }
     }
 }

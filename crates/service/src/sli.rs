@@ -4,7 +4,7 @@
 //! Cumulative counters answer "how much, ever"; an operator paging on a
 //! `health` probe needs "how much, *now*". Each tracked event kind
 //! (requests, lock-free reads, queued mutations, sheds, degraded solves,
-//! error responses) gets a ring of [`SLOTS`] per-second buckets stamped
+//! error responses) gets a ring of `SLOTS` per-second buckets stamped
 //! with their absolute second, so rates over the last 1/10/60 seconds are
 //! a sum over recently-stamped slots — no locks, no allocation, safe to
 //! read from every connection thread concurrently with the event loop.

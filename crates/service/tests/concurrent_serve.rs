@@ -216,11 +216,11 @@ fn concurrent_reads_see_single_epoch_snapshots() {
 /// state, same single warm solve).
 ///
 /// The serial one-at-a-time replay commits the *same demand state* but
-/// re-solves K times, and the placement problem has near-degenerate optima:
-/// distinct KKT-certified solutions whose objectives agree to ~1e-3 while
-/// individual link rates (even active sets) differ. So the byte-level
-/// contract is against the merged batch, and the serial replay is held to
-/// objective equivalence.
+/// re-solves K times from different warm starts. Every optimum of a concave
+/// program has the same objective value, but the rates that reach it need
+/// not be unique, and each solve stops within its own tolerance. So the
+/// byte-level contract is against the merged batch, and the serial replay
+/// is held to the same objective value to 1e-9 relative.
 #[test]
 fn coalescing_is_one_rebuild_and_matches_uncoalesced_replay() {
     const K: usize = 10;
@@ -347,7 +347,7 @@ fn coalescing_is_one_rebuild_and_matches_uncoalesced_replay() {
         .and_then(Json::as_f64)
         .expect("objective");
     assert!(
-        ((a - b) / a.abs().max(1e-12)).abs() < 1e-2,
+        ((a - b) / a.abs().max(1e-12)).abs() < 1e-9,
         "coalesced vs serial objectives diverged: {a} vs {b}"
     );
 }
