@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nws_core::scenarios::janet_task;
-use nws_core::{EvalPool, ParallelConfig, PlacementObjective, RateModel, ReducedIndex};
+use nws_core::{PlacementObjective, RateModel, ReducedIndex};
 use nws_linalg::Vector;
 use nws_solver::Objective;
 use std::hint::black_box;
@@ -42,22 +42,6 @@ fn bench_fused(c: &mut Criterion) {
             b.iter(|| black_box(obj.derivatives_along(black_box(&p), black_box(&s))))
         });
     }
-    // Pooled fused sweep (forced 2-worker pool, cutoffs disabled) — tracks
-    // the handoff overhead the auto-serial cutoff protects small cases from.
-    let pooled = PlacementObjective::new(&task, &index, RateModel::Exact)
-        .with_parallel(ParallelConfig {
-            threads: 2,
-            min_ods_per_thread: 1,
-            min_nnz_parallel: 0,
-        })
-        .with_pool(EvalPool::global(2));
-    let mut g = Vector::zeros(dim);
-    group.bench_function("fused/exact_pooled_x2", |b| {
-        b.iter(|| {
-            black_box(pooled.eval_fused(black_box(&p), Some(black_box(&s)), Some(&mut g)));
-            black_box(&g);
-        })
-    });
     group.finish();
 }
 

@@ -1,17 +1,11 @@
-//! Micro-benchmark of the objective-evaluation engine: serial vs pooled
-//! parallel `value`/`gradient`/`curvature_along`, the fused single-pass
-//! kernel vs the three separate kernels, plus solver end-to-end timings, on
-//! GEANT, Abilene, and a ~500-node random topology.
+//! Micro-benchmark of the objective-evaluation engine: the serial
+//! `value`/`gradient`/`curvature_along` kernels, the fused single-pass
+//! kernel vs the three separate kernels, the recorder overhead, plus solver
+//! end-to-end timings, on GEANT, Abilene, and a ~500-node random topology.
 //!
 //! Dependency-free (`std::time::Instant` only); emits machine-readable JSON
 //! (default `BENCH_eval.json`) that `scripts/check_bench.py` validates and
-//! gates in CI. The parallel variants go through the production
-//! `with_parallel` path — persistent worker pool, nnz cutoff, core-count
-//! cap — so on a single-core box every variant resolves to the serial
-//! kernels and the speedup curve sits at ~1.0 by design (the engine never
-//! pays for parallelism the machine cannot deliver); `available_cores` in
-//! the JSON says which regime the numbers were taken in. The fused-kernel
-//! section is meaningful on any core count.
+//! gates in CI; `available_cores` in the JSON records the machine.
 //!
 //! Flags: `--quick` (smaller instances, fewer reps — the CI smoke mode),
 //! `--out PATH`.
@@ -19,8 +13,8 @@
 use nws_bench::{banner, footer};
 use nws_core::scenarios::{abilene_task, janet_task};
 use nws_core::{
-    solve_placement, MeasurementTask, ParallelConfig, PlacementConfig, PlacementObjective,
-    RateModel, ReducedIndex, SreUtility,
+    solve_placement, MeasurementTask, PlacementConfig, PlacementObjective, RateModel, ReducedIndex,
+    SreUtility,
 };
 use nws_linalg::Vector;
 use nws_obs::Recorder;
@@ -30,12 +24,10 @@ use nws_topo::random::ring_with_chords;
 use std::hint::black_box;
 use std::time::Instant;
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
-
 struct EvalCase {
     name: String,
     model: RateModel,
-    objective_variants: Vec<PlacementObjective>, // one per entry of THREADS
+    objective: PlacementObjective,
     point: Vector,
 }
 
@@ -45,29 +37,26 @@ struct EvalResult {
     num_ods: usize,
     nnz: usize,
     dim: usize,
-    value_ms: Vec<f64>,
-    gradient_ms: Vec<f64>,
-    curvature_ms: Vec<f64>,
+    value_ms: f64,
+    gradient_ms: f64,
+    curvature_ms: f64,
 }
 
 struct FusedResult {
     name: String,
     model: &'static str,
-    /// One entry per `THREADS` variant: the three separate kernels
-    /// (value + gradient + curvature) back to back.
-    separate_ms: Vec<f64>,
+    /// The three separate kernels (value + gradient + curvature) back to
+    /// back.
+    separate_ms: f64,
     /// Same quantities via one `eval_fused` sweep.
-    fused_ms: Vec<f64>,
+    fused_ms: f64,
 }
 
 struct SolverResult {
     name: String,
     num_ods: usize,
     serial_ms: f64,
-    parallel_ms: f64,
-    parallel_threads: usize,
     iterations: usize,
-    objective_rel_diff: f64,
 }
 
 struct ObsResult {
@@ -97,20 +86,10 @@ fn eval_point(dim: usize) -> Vector {
 
 fn task_case(name: &str, task: &MeasurementTask, model: RateModel) -> EvalCase {
     let idx = ReducedIndex::new(task);
-    let objective_variants = THREADS
-        .iter()
-        .map(|&t| {
-            PlacementObjective::new(task, &idx, model).with_parallel(ParallelConfig {
-                threads: t,
-                min_ods_per_thread: 1,
-                ..ParallelConfig::default()
-            })
-        })
-        .collect();
     EvalCase {
         name: name.to_string(),
         model,
-        objective_variants,
+        objective: PlacementObjective::new(task, &idx, model),
         point: eval_point(idx.dim()),
     }
 }
@@ -158,55 +137,33 @@ fn random_parts(n: usize, chords: usize, dsts_per_src: usize) -> ObjectiveParts 
 
 fn random_case(n: usize, chords: usize, dsts_per_src: usize, model: RateModel) -> EvalCase {
     let (utilities, weights, rows, dim) = random_parts(n, chords, dsts_per_src);
-    let objective_variants = THREADS
-        .iter()
-        .map(|&t| {
-            PlacementObjective::from_parts(
-                utilities.clone(),
-                weights.clone(),
-                rows.clone(),
-                model,
-                dim,
-            )
-            .with_parallel(ParallelConfig {
-                threads: t,
-                min_ods_per_thread: 1,
-                ..ParallelConfig::default()
-            })
-        })
-        .collect();
     EvalCase {
         name: format!("random{n}"),
         model,
-        objective_variants,
+        objective: PlacementObjective::from_parts(utilities, weights, rows, model, dim),
         point: eval_point(dim),
     }
 }
 
 fn run_eval_case(case: &EvalCase, reps: usize) -> EvalResult {
-    let serial = &case.objective_variants[0];
-    let (num_ods, nnz, dim) = (serial.num_ods(), serial.nnz(), serial.dim());
+    let obj = &case.objective;
+    let (num_ods, nnz, dim) = (obj.num_ods(), obj.nnz(), obj.dim());
     let p = &case.point;
     let s: Vector = (0..dim)
         .map(|v| if v % 2 == 0 { 1.0 } else { -0.5 })
         .collect();
 
-    let mut value_ms = Vec::new();
-    let mut gradient_ms = Vec::new();
-    let mut curvature_ms = Vec::new();
-    for obj in &case.objective_variants {
-        value_ms.push(time_median_ms(reps, || {
-            black_box(obj.value(black_box(p)));
-        }));
-        let mut g = Vector::zeros(dim);
-        gradient_ms.push(time_median_ms(reps, || {
-            obj.gradient_into(black_box(p), &mut g);
-            black_box(&g);
-        }));
-        curvature_ms.push(time_median_ms(reps, || {
-            black_box(obj.curvature_along(black_box(p), black_box(&s)));
-        }));
-    }
+    let value_ms = time_median_ms(reps, || {
+        black_box(obj.value(black_box(p)));
+    });
+    let mut g = Vector::zeros(dim);
+    let gradient_ms = time_median_ms(reps, || {
+        obj.gradient_into(black_box(p), &mut g);
+        black_box(&g);
+    });
+    let curvature_ms = time_median_ms(reps, || {
+        black_box(obj.curvature_along(black_box(p), black_box(&s)));
+    });
     EvalResult {
         name: case.name.clone(),
         model: match case.model {
@@ -224,29 +181,26 @@ fn run_eval_case(case: &EvalCase, reps: usize) -> EvalResult {
 
 /// Times the fused single-pass kernel (value + φ' + φ'' + gradient in one
 /// CSR sweep) against the three separate kernels producing the same
-/// quantities, per thread variant. `fusion_gain = separate_ms / fused_ms`
-/// is the memory-traffic win and is meaningful even on one core.
+/// quantities. `fusion_gain = separate_ms / fused_ms` is the memory-traffic
+/// win.
 fn run_fused_case(case: &EvalCase, reps: usize) -> FusedResult {
-    let dim = case.objective_variants[0].dim();
+    let obj = &case.objective;
+    let dim = obj.dim();
     let p = &case.point;
     let s: Vector = (0..dim)
         .map(|v| if v % 2 == 0 { 1.0 } else { -0.5 })
         .collect();
-    let mut separate_ms = Vec::new();
-    let mut fused_ms = Vec::new();
-    for obj in &case.objective_variants {
-        let mut g = Vector::zeros(dim);
-        separate_ms.push(time_median_ms(reps, || {
-            black_box(obj.value(black_box(p)));
-            obj.gradient_into(black_box(p), &mut g);
-            black_box(&g);
-            black_box(obj.curvature_along(black_box(p), black_box(&s)));
-        }));
-        fused_ms.push(time_median_ms(reps, || {
-            black_box(obj.eval_fused(black_box(p), Some(black_box(&s)), Some(&mut g)));
-            black_box(&g);
-        }));
-    }
+    let mut g = Vector::zeros(dim);
+    let separate_ms = time_median_ms(reps, || {
+        black_box(obj.value(black_box(p)));
+        obj.gradient_into(black_box(p), &mut g);
+        black_box(&g);
+        black_box(obj.curvature_along(black_box(p), black_box(&s)));
+    });
+    let fused_ms = time_median_ms(reps, || {
+        black_box(obj.eval_fused(black_box(p), Some(black_box(&s)), Some(&mut g)));
+        black_box(&g);
+    });
     FusedResult {
         name: case.name.clone(),
         model: match case.model {
@@ -289,36 +243,17 @@ fn random_task(n: usize, chords: usize) -> MeasurementTask {
         .expect("synthetic task is valid")
 }
 
-fn run_solver_case(
-    name: &str,
-    task: &MeasurementTask,
-    max_iterations: usize,
-    parallel_threads: usize,
-) -> SolverResult {
+fn run_solver_case(name: &str, task: &MeasurementTask, max_iterations: usize) -> SolverResult {
     let mut config = PlacementConfig::default();
     config.solver.max_iterations = max_iterations;
     let t0 = Instant::now();
-    let serial = solve_placement(task, &config).expect("solve succeeds");
+    let sol = solve_placement(task, &config).expect("solve succeeds");
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    config.parallel = ParallelConfig {
-        threads: parallel_threads,
-        min_ods_per_thread: 1,
-        ..ParallelConfig::default()
-    };
-    let t1 = Instant::now();
-    let parallel = solve_placement(task, &config).expect("solve succeeds");
-    let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let scale = serial.objective.abs().max(1.0);
     SolverResult {
         name: name.to_string(),
         num_ods: task.ods().len(),
         serial_ms,
-        parallel_ms,
-        parallel_threads,
-        iterations: serial.diagnostics.iterations,
-        objective_rel_diff: (serial.objective - parallel.objective).abs() / scale,
+        iterations: sol.diagnostics.iterations,
     }
 }
 
@@ -366,11 +301,6 @@ fn run_obs_overhead(
     }
 }
 
-fn json_f64_list(xs: &[f64]) -> String {
-    let parts: Vec<String> = xs.iter().map(|x| format!("{x:.6}")).collect();
-    format!("[{}]", parts.join(", "))
-}
-
 fn render_json(
     quick: bool,
     evals: &[EvalResult],
@@ -384,53 +314,36 @@ fn render_json(
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"available_cores\": {cores},\n"));
     out.push_str(&format!(
-        "  \"threads\": [{}],\n",
-        THREADS.map(|t| t.to_string()).join(", ")
-    ));
-    out.push_str(&format!(
         "  \"obs\": {{\"disabled_ms\": {:.6}, \"enabled_ms\": {:.6}, \"overhead_ratio\": {:.6}}},\n",
         obs.disabled_ms, obs.enabled_ms, obs.overhead_ratio
     ));
     out.push_str("  \"eval_cases\": [\n");
     for (i, e) in evals.iter().enumerate() {
-        let speedup: Vec<f64> = e
-            .gradient_ms
-            .iter()
-            .map(|&ms| e.gradient_ms[0] / ms)
-            .collect();
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"model\": \"{}\", \"num_ods\": {}, \"nnz\": {}, \
-             \"dim\": {},\n     \"value_ms\": {}, \"gradient_ms\": {}, \"curvature_ms\": {},\n     \
-             \"gradient_speedup\": {}}}{}\n",
+             \"dim\": {},\n     \"value_ms\": {:.6}, \"gradient_ms\": {:.6}, \"curvature_ms\": {:.6}}}{}\n",
             e.name,
             e.model,
             e.num_ods,
             e.nnz,
             e.dim,
-            json_f64_list(&e.value_ms),
-            json_f64_list(&e.gradient_ms),
-            json_f64_list(&e.curvature_ms),
-            json_f64_list(&speedup),
+            e.value_ms,
+            e.gradient_ms,
+            e.curvature_ms,
             if i + 1 < evals.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
     out.push_str("  \"fused\": [\n");
     for (i, f) in fused.iter().enumerate() {
-        let gain: Vec<f64> = f
-            .separate_ms
-            .iter()
-            .zip(&f.fused_ms)
-            .map(|(&sep, &fus)| sep / fus)
-            .collect();
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"model\": \"{}\", \"separate_ms\": {}, \
-             \"fused_ms\": {}, \"fusion_gain\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"model\": \"{}\", \"separate_ms\": {:.6}, \
+             \"fused_ms\": {:.6}, \"fusion_gain\": {:.6}}}{}\n",
             f.name,
             f.model,
-            json_f64_list(&f.separate_ms),
-            json_f64_list(&f.fused_ms),
-            json_f64_list(&gain),
+            f.separate_ms,
+            f.fused_ms,
+            f.separate_ms / f.fused_ms,
             if i + 1 < fused.len() { "," } else { "" }
         ));
     }
@@ -439,16 +352,11 @@ fn render_json(
     for (i, s) in solvers.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"num_ods\": {}, \"serial_ms\": {:.3}, \
-             \"parallel_ms\": {:.3}, \"speedup\": {:.4}, \"parallel_threads\": {}, \
-             \"iterations\": {}, \"objective_rel_diff\": {:.3e}}}{}\n",
+             \"iterations\": {}}}{}\n",
             s.name,
             s.num_ods,
             s.serial_ms,
-            s.parallel_ms,
-            s.serial_ms / s.parallel_ms,
-            s.parallel_threads,
             s.iterations,
-            s.objective_rel_diff,
             if i + 1 < solvers.len() { "," } else { "" }
         ));
     }
@@ -467,7 +375,7 @@ fn main() {
 
     let t0 = banner(
         "eval_bench",
-        "objective-evaluation engine: serial vs parallel, plus solver end-to-end",
+        "objective-evaluation engine: kernels, fused sweep, plus solver end-to-end",
     );
     let reps = if quick { 3 } else { 7 };
     let (rand_n, rand_chords, dsts) = if quick {
@@ -479,7 +387,7 @@ fn main() {
     let janet = janet_task();
     let abilene = abilene_task(40_000.0, 7).expect("valid theta");
 
-    let mut eval_cases = vec![
+    let eval_cases = vec![
         task_case("geant_janet", &janet, RateModel::Approximate),
         task_case("abilene", &abilene, RateModel::Approximate),
         random_case(rand_n, rand_chords, dsts, RateModel::Approximate),
@@ -487,25 +395,21 @@ fn main() {
     ];
 
     println!(
-        "{:<16} {:<12} {:>8} {:>9} | gradient ms @ threads {:?}",
-        "case", "model", "ods", "nnz", THREADS
+        "{:<16} {:<12} {:>8} {:>9} | {:>11}",
+        "case", "model", "ods", "nnz", "gradient ms"
     );
     let mut evals = Vec::new();
-    for case in &mut eval_cases {
+    for case in &eval_cases {
         let r = run_eval_case(case, reps);
         println!(
-            "{:<16} {:<12} {:>8} {:>9} | {}",
-            r.name,
-            r.model,
-            r.num_ods,
-            r.nnz,
-            json_f64_list(&r.gradient_ms)
+            "{:<16} {:<12} {:>8} {:>9} | {:>11.6}",
+            r.name, r.model, r.num_ods, r.nnz, r.gradient_ms
         );
         evals.push(r);
     }
 
     println!();
-    println!("fused kernel vs separate kernels (serial variant):");
+    println!("fused kernel vs separate kernels:");
     let mut fused = Vec::new();
     for case in &eval_cases {
         let f = run_fused_case(case, reps);
@@ -513,26 +417,26 @@ fn main() {
             "{:<16} {:<12} separate {:>9.3} ms   fused {:>9.3} ms   gain {:.2}x",
             f.name,
             f.model,
-            f.separate_ms[0],
-            f.fused_ms[0],
-            f.separate_ms[0] / f.fused_ms[0]
+            f.separate_ms,
+            f.fused_ms,
+            f.separate_ms / f.fused_ms
         );
         fused.push(f);
     }
 
     println!();
-    println!("solver end-to-end (serial vs {} threads):", 4);
+    println!("solver end-to-end:");
     let solver_iters = if quick { 20 } else { 60 };
     let rand_task = random_task(rand_n, rand_chords);
     let solvers = vec![
-        run_solver_case("geant_janet", &janet, 2000, 4),
-        run_solver_case("abilene", &abilene, 2000, 4),
-        run_solver_case(&format!("random{rand_n}"), &rand_task, solver_iters, 4),
+        run_solver_case("geant_janet", &janet, 2000),
+        run_solver_case("abilene", &abilene, 2000),
+        run_solver_case(&format!("random{rand_n}"), &rand_task, solver_iters),
     ];
     for s in &solvers {
         println!(
-            "{:<16} serial {:>9.1} ms   parallel {:>9.1} ms   obj rel diff {:.1e}",
-            s.name, s.serial_ms, s.parallel_ms, s.objective_rel_diff
+            "{:<16} {:>9.1} ms   {} iterations",
+            s.name, s.serial_ms, s.iterations
         );
     }
 

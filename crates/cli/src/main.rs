@@ -94,12 +94,6 @@ usage:
   nws topo dot <geant|abilene>
   nws demo
 
-options (solve/sweep/plan/serve/demo):
-  --threads N       evaluate the objective on a persistent pool of N worker
-                    threads (0 = one per core; default 1 = serial; capped at
-                    the core count; tiny tasks below the nnz cutoff stay
-                    serial; pays off on tasks with thousands of OD pairs)
-
 observability options (solve/sweep/serve/demo):
   --metrics-out F   write a Prometheus-style text exposition of solver and
                     evaluation metrics to F on exit (for serve, includes
@@ -175,7 +169,8 @@ JANET-on-GEANT scenario; traces are JSON-lines files, see docs/FORMATS.md):
                     schema)";
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let (args, config, obs) = extract_config(args)?;
+    let (args, obs) = extract_obs(args)?;
+    let config = PlacementConfig::default();
     match args.first().map(String::as_str) {
         Some("solve") => cmd_solve(&args[1..], &config, &obs),
         Some("sweep") => cmd_sweep(&args[1..], &config, &obs),
@@ -183,7 +178,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         Some("serve") => cmd_serve(&args[1..], &config, &obs),
         Some("replay") => cmd_replay(&args[1..], &config, &obs),
         Some("topo") => cmd_topo(&args[1..]),
-        Some("demo") => cmd_demo(&config, &obs),
+        Some("demo") => cmd_demo(&args[1..], &config, &obs),
         Some(other) => Err(usage_err(format!("unknown command '{other}'"))),
         None => Err(usage_err("no command given")),
     }
@@ -230,27 +225,16 @@ impl ObsSetup {
     }
 }
 
-/// Strips global options (`--threads N`, `--metrics-out F`, `--trace`) from
-/// anywhere in the argument list and folds them into a [`PlacementConfig`]
-/// plus an [`ObsSetup`].
+/// Strips the observability options (`--metrics-out F`, `--trace`) from
+/// anywhere in the argument list and folds them into an [`ObsSetup`].
 ///
 /// Exception: for the `replay` command, `--trace` names the input trace
 /// file and is left in place for the replay parser (span tracing is not
 /// meaningful for a batch replay anyway).
-fn extract_config(args: &[String]) -> Result<(Vec<String>, PlacementConfig, ObsSetup), CliError> {
+fn extract_obs(args: &[String]) -> Result<(Vec<String>, ObsSetup), CliError> {
     let mut rest = args.to_vec();
-    let mut config = PlacementConfig::default();
     let mut obs = ObsSetup::default();
     let trace_is_positional = rest.first().map(String::as_str) == Some("replay");
-    while let Some(i) = rest.iter().position(|a| a == "--threads") {
-        let n: usize = rest
-            .get(i + 1)
-            .ok_or_else(|| usage_err("--threads requires a count"))?
-            .parse()
-            .map_err(|_| usage_err("--threads requires a non-negative integer"))?;
-        config.parallel.threads = n;
-        rest.drain(i..=i + 1);
-    }
     while let Some(i) = rest.iter().position(|a| a == "--metrics-out") {
         let path = rest
             .get(i + 1)
@@ -264,7 +248,7 @@ fn extract_config(args: &[String]) -> Result<(Vec<String>, PlacementConfig, ObsS
             rest.remove(i);
         }
     }
-    Ok((rest, config, obs))
+    Ok((rest, obs))
 }
 
 /// Loads a topology from a file path or `--builtin NAME`; returns the
@@ -1034,7 +1018,10 @@ fn builtin(name: &str) -> Result<Topology, CliError> {
     }
 }
 
-fn cmd_demo(config: &PlacementConfig, obs: &ObsSetup) -> Result<(), CliError> {
+fn cmd_demo(args: &[String], config: &PlacementConfig, obs: &ObsSetup) -> Result<(), CliError> {
+    if let Some(other) = args.first() {
+        return Err(usage_err(format!("unexpected argument '{other}'")));
+    }
     let task = janet_task();
     let rec = obs.recorder();
     let sol =
@@ -1088,28 +1075,18 @@ mod tests {
 
     #[test]
     fn demo_runs() {
-        cmd_demo(&PlacementConfig::default(), &ObsSetup::default()).unwrap();
+        cmd_demo(&[], &PlacementConfig::default(), &ObsSetup::default()).unwrap();
     }
 
     #[test]
-    fn threads_flag_extracted_anywhere() {
-        let args: Vec<String> = ["demo", "--threads", "4"].map(String::from).to_vec();
-        let (rest, config, obs) = extract_config(&args).unwrap();
-        assert_eq!(rest, vec!["demo".to_string()]);
-        assert_eq!(config.parallel.threads, 4);
-        assert_eq!(obs, ObsSetup::default());
-
-        let args: Vec<String> = ["--threads", "0", "demo"].map(String::from).to_vec();
-        let (rest, config, _) = extract_config(&args).unwrap();
-        assert_eq!(rest, vec!["demo".to_string()]);
-        assert_eq!(config.parallel.threads, 0);
-
-        assert!(is_usage(
-            &extract_config(&["--threads".to_string()]).unwrap_err()
-        ));
-        assert!(is_usage(
-            &extract_config(&["--threads".to_string(), "x".to_string()]).unwrap_err()
-        ));
+    fn threads_flag_is_rejected_as_usage() {
+        // Evaluation is serial: the old worker-count flag is an unknown
+        // argument before the command and after it.
+        let flag = ["--", "threads"].concat();
+        for args in [[flag.as_str(), "2", "demo"], ["demo", flag.as_str(), "2"]] {
+            let err = run(&args.map(String::from)).unwrap_err();
+            assert!(is_usage(&err), "{args:?}: {err}");
+        }
     }
 
     #[test]
@@ -1117,14 +1094,14 @@ mod tests {
         let args: Vec<String> = ["solve", "--trace", "x.topo", "--metrics-out", "m.prom"]
             .map(String::from)
             .to_vec();
-        let (rest, _, obs) = extract_config(&args).unwrap();
+        let (rest, obs) = extract_obs(&args).unwrap();
         assert_eq!(rest, vec!["solve".to_string(), "x.topo".into()]);
         assert_eq!(obs.metrics_out.as_deref(), Some("m.prom"));
         assert!(obs.trace);
         assert!(obs.wanted());
 
         assert!(is_usage(
-            &extract_config(&["--metrics-out".to_string()]).unwrap_err()
+            &extract_obs(&["--metrics-out".to_string()]).unwrap_err()
         ));
         assert!(!ObsSetup::default().wanted());
         assert!(!ObsSetup::default().recorder().is_enabled());
@@ -1139,16 +1116,11 @@ mod tests {
             metrics_out: Some(path.to_string_lossy().into_owned()),
             trace: true,
         };
-        cmd_demo(&PlacementConfig::default(), &obs).unwrap();
+        cmd_demo(&[], &PlacementConfig::default(), &obs).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("# TYPE solver_iterations_total counter"));
         assert!(text.contains("# TYPE eval_calls_total counter"));
         assert!(text.contains("# span solve"), "trace appends span tree");
-    }
-
-    #[test]
-    fn demo_solves_with_threads() {
-        run(&["demo", "--threads", "2"].map(String::from)).unwrap();
     }
 
     #[test]
@@ -1399,16 +1371,16 @@ mod tests {
     #[test]
     fn replay_keeps_trace_flag_for_itself() {
         // For every other command --trace is the span-tracing switch; for
-        // replay it names the input file and must survive extract_config.
+        // replay it names the input file and must survive extract_obs.
         let args: Vec<String> = ["replay", "--trace", "day.jsonl"]
             .map(String::from)
             .to_vec();
-        let (rest, _, obs) = extract_config(&args).unwrap();
+        let (rest, obs) = extract_obs(&args).unwrap();
         assert_eq!(rest, args);
         assert!(!obs.trace);
 
         let args: Vec<String> = ["demo", "--trace"].map(String::from).to_vec();
-        let (rest, _, obs) = extract_config(&args).unwrap();
+        let (rest, obs) = extract_obs(&args).unwrap();
         assert_eq!(rest, vec!["demo".to_string()]);
         assert!(obs.trace);
     }

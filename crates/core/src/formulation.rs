@@ -2,24 +2,19 @@
 //!
 //! The objective stores its per-OD sparse routing rows in CSR (compressed
 //! sparse row) form — one flat `(variable, fraction)` array plus row offsets
-//! — and evaluates value/gradient/curvature either serially or fanned out
-//! across a persistent [`EvalPool`]. Chunk partials are merged in chunk
-//! order, so results are deterministic for a fixed worker count. A fused
-//! single-pass kernel ([`PlacementObjective::eval_fused`]) produces value,
-//! gradient, and both directional derivatives from one CSR sweep. Under the
-//! approximate rate model a line search costs one sweep in all: it records
-//! each row's `(ρ_k, r_k·s)` at `t = 0`, and every Newton probe is answered
-//! from those scalars ([`Objective::prepare_line`]).
+//! — and evaluates value/gradient/curvature in one serial sweep over the
+//! rows. A fused single-pass kernel ([`PlacementObjective::eval_fused`])
+//! produces value, gradient, and both directional derivatives from one CSR
+//! sweep. Under the approximate rate model a line search costs one sweep in
+//! all: it records each row's `(ρ_k, r_k·s)` at `t = 0`, and every Newton
+//! probe is answered from those scalars ([`Objective::prepare_line`]).
 
-use crate::pool::{ChunkOut, ChunkTask};
-use crate::{CoreError, EvalPool, MeasurementTask, PoolError, SreUtility, Utility};
+use crate::{CoreError, MeasurementTask, SreUtility, Utility};
 use nws_linalg::Vector;
 use nws_obs::Recorder;
 use nws_solver::{BoxLinearProblem, LineProbe, Objective, TrialPoints};
 use nws_topo::LinkId;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// How the effective sampling rate `ρ_k(p)` is modelled inside the objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,104 +33,6 @@ pub enum RateModel {
     /// low-rate regime the curvature from `M''` dominates and the solver
     /// behaves identically. Provided for the §V-B validation ablation.
     Exact,
-}
-
-/// How a [`PlacementObjective`] fans evaluation out across threads.
-///
-/// Evaluation is embarrassingly parallel over OD rows: each worker reduces a
-/// contiguous chunk of rows into a private partial (a scalar for value and
-/// curvature, a scratch gradient buffer for gradients) and the partials are
-/// merged in chunk order. The fan-out runs on a persistent [`EvalPool`] —
-/// workers are spawned once when the config is attached
-/// ([`PlacementObjective::with_parallel`]) and parked between calls, so an
-/// evaluation pays only a channel handoff. Two cutoffs keep small work on
-/// the serial path: `min_ods_per_thread` bounds the chunk count by available
-/// rows, and `min_nnz_parallel` routes whole instances below a CSR-size
-/// floor (e.g. GEANT, Abilene) straight to the serial kernels, where even a
-/// single handoff would cost more than the row sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker threads: `1` forces the serial path (the default), `0` uses
-    /// one worker per available core, any other value is taken literally
-    /// (but never more pool workers than cores — oversubscribing CPU-bound
-    /// row sweeps only adds scheduler churn).
-    pub threads: usize,
-    /// Minimum OD rows per worker; the effective worker count is capped at
-    /// `num_ods / min_ods_per_thread` so handoff overhead never dominates
-    /// small tasks.
-    pub min_ods_per_thread: usize,
-    /// Auto-serial cutoff: instances with fewer CSR entries than this never
-    /// use the pool at all. At the default, a serial sweep costs on the
-    /// order of a channel handoff, so parallelism cannot win below it.
-    pub min_nnz_parallel: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            threads: 1,
-            min_ods_per_thread: 256,
-            min_nnz_parallel: 4096,
-        }
-    }
-}
-
-impl ParallelConfig {
-    /// A config with the given worker count (`0` = auto) and the default
-    /// serial-fallback thresholds.
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads,
-            ..ParallelConfig::default()
-        }
-    }
-
-    /// The worker count this config requests for a task of `num_ods` rows
-    /// (before the core-count cap applied when the pool is resolved).
-    pub fn workers_for(&self, num_ods: usize) -> usize {
-        let requested = match self.threads {
-            0 => available_cores(),
-            t => t,
-        };
-        let by_work = num_ods / self.min_ods_per_thread.max(1);
-        requested.min(by_work).max(1)
-    }
-}
-
-fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// A reusable pool of gradient scratch buffers, shared across evaluations so
-/// the per-chunk partials do not reallocate every solver iteration.
-#[derive(Debug, Default)]
-struct ScratchPool {
-    buffers: Mutex<Vec<Vec<f64>>>,
-}
-
-impl ScratchPool {
-    /// Pops a pooled buffer (or allocates one) and zeroes it to `len`.
-    fn take(&self, len: usize) -> Vec<f64> {
-        let mut buf = self
-            .buffers
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
-    }
-
-    /// Returns a buffer to the pool.
-    fn put(&self, buf: Vec<f64>) {
-        self.buffers
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(buf);
-    }
 }
 
 /// Mapping between the task's candidate links and dense variable indices.
@@ -199,8 +96,7 @@ pub struct FusedEval {
 }
 
 /// The immutable evaluation data of a [`PlacementObjective`] — utilities,
-/// weights, CSR rows, rate model — shared by reference with pool workers
-/// (`Arc`), so chunk tasks are `'static` without copying the matrix.
+/// weights, CSR rows, rate model — which a prepared line borrows.
 struct ObjectiveCore<U> {
     utilities: Vec<U>,
     /// Per-OD nonnegative weights (1 for the paper's formulation; composite
@@ -447,37 +343,12 @@ impl<U: Utility> LineProbe for PreparedLine<'_, U> {
     }
 }
 
-/// Which kernel a pooled chunk task runs.
-#[derive(Debug, Clone, Copy)]
-enum KernelKind {
-    Value,
-    DirDerivative,
-    Curvature,
-    Gradient,
-    Fused { grad: bool },
-    Line,
-}
-
 /// The paper's objective `Σ_k w_k·M_k(ρ_k(p))` over the reduced variables,
 /// generic over the per-OD utility type (the paper's [`SreUtility`] by
 /// default; any [`Utility`] works — §VI anticipates anomaly-detection and
 /// performance-analysis utilities).
 pub struct PlacementObjective<U: Utility = SreUtility> {
-    core: Arc<ObjectiveCore<U>>,
-    parallel: ParallelConfig,
-    scratch: ScratchPool,
-    /// Resolved worker pool; `None` means every evaluation is serial. Set by
-    /// [`PlacementObjective::with_parallel`] (auto, capped at the core
-    /// count) or [`PlacementObjective::with_pool`] (explicit).
-    pool: Option<EvalPool>,
-    /// Whether `pool` was attached explicitly (and must survive later
-    /// `with_parallel` calls).
-    pool_forced: bool,
-    /// The most recent pool failure, kept for diagnosis: the infallible
-    /// [`Objective`] surface reports pool errors as NaN results (which the
-    /// solver turns into a typed `NonFiniteObjective` error) and parks the
-    /// underlying cause here.
-    last_pool_error: Mutex<Option<PoolError>>,
+    core: ObjectiveCore<U>,
     /// Observability sink (disabled by default — a single branch per
     /// evaluation). See [`PlacementObjective::with_recorder`].
     recorder: Recorder,
@@ -555,96 +426,25 @@ impl<U: Utility> PlacementObjective<U> {
             row_offsets.push(row_entries.len());
         }
         PlacementObjective {
-            core: Arc::new(ObjectiveCore {
+            core: ObjectiveCore {
                 utilities,
                 weights,
                 row_offsets,
                 row_entries,
                 rate_model,
                 dim,
-            }),
-            parallel: ParallelConfig::default(),
-            scratch: ScratchPool::default(),
-            pool: None,
-            pool_forced: false,
-            last_pool_error: Mutex::new(None),
+            },
             recorder: Recorder::disabled(),
         }
     }
 
-    /// Sets the evaluation fan-out configuration (builder style; the default
-    /// is serial) and resolves the worker pool for it: when the config
-    /// requests more than one worker for this instance — after the
-    /// `min_nnz_parallel` cutoff and a cap at the machine's core count — a
-    /// process-wide [`EvalPool`] of that size is attached (created on first
-    /// use, shared across objectives). Threads are therefore created once
-    /// per configuration, not once per evaluation.
-    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Self {
-        self.parallel = parallel;
-        if !self.pool_forced {
-            self.pool = self.auto_pool();
-        }
-        self
-    }
-
-    /// Attaches an explicit worker pool (builder style), bypassing the
-    /// core-count cap of [`PlacementObjective::with_parallel`] — the hook
-    /// tests and benchmarks use to exercise real multi-worker fan-out on
-    /// any machine. The `min_ods_per_thread` / `min_nnz_parallel` cutoffs
-    /// of the current [`ParallelConfig`] still apply per call.
-    pub fn with_pool(mut self, pool: EvalPool) -> Self {
-        self.pool = Some(pool);
-        self.pool_forced = true;
-        self
-    }
-
-    /// The pool serving this instance's parallel path, if any.
-    pub fn pool(&self) -> Option<&EvalPool> {
-        self.pool.as_ref()
-    }
-
-    /// The most recent worker-pool failure, if any. The [`Objective`]
-    /// methods are infallible, so a pool failure (worker panic,
-    /// disconnected channel) yields NaN results — which the solver reports
-    /// as [`nws_solver::SolverError::NonFiniteObjective`] — and the typed
-    /// cause is retained here.
-    pub fn last_pool_error(&self) -> Option<PoolError> {
-        self.last_pool_error
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone()
-    }
-
-    /// Resolves the shared pool the current config warrants for this
-    /// instance, or `None` for the serial path.
-    fn auto_pool(&self) -> Option<EvalPool> {
-        if self.core.row_entries.len() < self.parallel.min_nnz_parallel {
-            return None;
-        }
-        let workers = self
-            .parallel
-            .workers_for(self.core.num_ods())
-            .min(available_cores());
-        (workers > 1).then(|| EvalPool::global(workers))
-    }
-
     /// Attaches an observability recorder (builder style; the default is the
     /// disabled no-op sink). With a live recorder, every evaluation bumps
-    /// `eval_calls_total` (fused-kernel calls and line preparations
-    /// additionally `eval_fused_calls_total`), and the parallel fan-out
-    /// records the worker count (`eval_workers` gauge), chunk totals
-    /// (`eval_chunks_total`, `pool_tasks_dispatched_total`), worker
-    /// park/wake cycles (`pool_wake_cycles_total`) and per-chunk wall time
-    /// (`eval_chunk_ms` histogram) — the utilization signal: even chunk
-    /// times mean the fan-out is balanced.
+    /// `eval_calls_total`, and fused-kernel calls and line preparations
+    /// additionally `eval_fused_calls_total`.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// The current evaluation fan-out configuration.
-    pub fn parallel_config(&self) -> ParallelConfig {
-        self.parallel
     }
 
     /// Number of OD rows.
@@ -697,192 +497,12 @@ impl<U: Utility> PlacementObjective<U> {
             .map(|k| self.core.rate_under(model, k, p))
             .collect()
     }
-}
-
-impl<U: Utility + Send + Sync + 'static> PlacementObjective<U> {
-    /// The per-call fan-out plan: the pool plus the chunk ranges, or `None`
-    /// when this evaluation should run serially (no pool attached, instance
-    /// below the `min_nnz_parallel` cutoff, or too few rows per worker).
-    fn plan(&self) -> Option<(&EvalPool, Vec<Range<usize>>)> {
-        let pool = self.pool.as_ref()?;
-        let n = self.core.num_ods();
-        if self.core.row_entries.len() < self.parallel.min_nnz_parallel {
-            return None;
-        }
-        let by_work = (n / self.parallel.min_ods_per_thread.max(1)).max(1);
-        let chunks = pool.threads().min(by_work).min(n.max(1));
-        if chunks <= 1 {
-            return None;
-        }
-        let chunk = n.div_ceil(chunks);
-        let num_chunks = n.div_ceil(chunk);
-        let ranges = (0..num_chunks)
-            .map(|w| w * chunk..((w + 1) * chunk).min(n))
-            .collect();
-        Some((pool, ranges))
-    }
-
-    /// Builds the `'static` chunk task for one evaluation: an `Arc` of the
-    /// shared core plus owned copies of the O(dim) inputs `p`/`s` — cheap
-    /// next to the O(nnz) row sweep, and what keeps the engine free of
-    /// `unsafe` lifetime plumbing under `forbid(unsafe_code)`.
-    fn chunk_task(&self, kind: KernelKind, p: &Vector, s: Option<&Vector>) -> ChunkTask {
-        let core = Arc::clone(&self.core);
-        let p = p.clone();
-        let s = s.cloned();
-        let rec = self.recorder.clone();
-        let enabled = rec.is_enabled();
-        Arc::new(move |range: Range<usize>, scratch: &mut [f64]| {
-            let t0 = enabled.then(Instant::now);
-            let out = match kind {
-                KernelKind::Value => ChunkOut {
-                    value: core.value_over(range, &p),
-                    ..ChunkOut::default()
-                },
-                KernelKind::DirDerivative => ChunkOut {
-                    derivative: core.dir_derivative_over(range, &p, s.as_ref().expect("direction")),
-                    ..ChunkOut::default()
-                },
-                KernelKind::Curvature => ChunkOut {
-                    curvature: core.curvature_over(range, &p, s.as_ref().expect("direction")),
-                    ..ChunkOut::default()
-                },
-                KernelKind::Gradient => {
-                    core.accumulate_gradient_over(range, &p, scratch);
-                    ChunkOut {
-                        grad_in_scratch: true,
-                        ..ChunkOut::default()
-                    }
-                }
-                KernelKind::Line => {
-                    core.line_over(range, &p, s.as_ref().expect("direction"), scratch);
-                    ChunkOut::default()
-                }
-                KernelKind::Fused { grad } => {
-                    let gslice = if grad { Some(&mut *scratch) } else { None };
-                    let (value, derivative, curvature) =
-                        core.fused_over(range, &p, s.as_ref(), gslice);
-                    ChunkOut {
-                        value,
-                        derivative,
-                        curvature,
-                        grad_in_scratch: grad,
-                    }
-                }
-            };
-            if let Some(t0) = t0 {
-                rec.observe("eval_chunk_ms", t0.elapsed().as_secs_f64() * 1e3);
-            }
-            out
-        })
-    }
-
-    /// Records the fan-out shape of one parallel evaluation.
-    fn record_fanout(&self, num_chunks: usize) {
-        self.recorder.gauge_set("eval_workers", num_chunks as f64);
-        self.recorder
-            .counter_add("eval_chunks_total", num_chunks as u64);
-        self.recorder
-            .counter_add("pool_tasks_dispatched_total", num_chunks as u64);
-    }
-
-    /// Dispatches chunk tasks to the pool, recording wake cycles. The wake
-    /// delta is read off the shared pool's counters, so concurrent
-    /// dispatchers may inflate each other's attribution slightly — the
-    /// totals stay exact.
-    fn run_pooled(
-        &self,
-        pool: &EvalPool,
-        ranges: &[Range<usize>],
-        task: ChunkTask,
-        scratch_for: impl FnMut(usize) -> Vec<f64>,
-    ) -> Result<Vec<(ChunkOut, Vec<f64>)>, PoolError> {
-        self.record_fanout(ranges.len());
-        let wakes_before = self.recorder.is_enabled().then(|| pool.stats().wakes);
-        let result = pool.run(ranges, task, scratch_for);
-        if let Some(before) = wakes_before {
-            self.recorder.counter_add(
-                "pool_wake_cycles_total",
-                pool.stats().wakes.saturating_sub(before),
-            );
-        }
-        result
-    }
-
-    /// Registers a pool failure and returns the NaN the infallible
-    /// [`Objective`] surface reports (the solver converts it into a typed
-    /// [`nws_solver::SolverError::NonFiniteObjective`]).
-    fn poison(&self, err: PoolError) -> f64 {
-        self.recorder.counter_add("eval_pool_errors_total", 1);
-        *self
-            .last_pool_error
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(err);
-        f64::NAN
-    }
-
-    /// Reduces one scalar kernel over all OD rows, fanning out to the pool
-    /// when the plan warrants it. Chunk partials are summed in chunk order,
-    /// so the result is deterministic for a fixed worker count.
-    fn eval_scalar(&self, kind: KernelKind, p: &Vector, s: Option<&Vector>) -> f64 {
-        self.recorder.counter_add("eval_calls_total", 1);
-        let n = self.core.num_ods();
-        let Some((pool, ranges)) = self.plan() else {
-            return match kind {
-                KernelKind::Value => self.core.value_over(0..n, p),
-                KernelKind::DirDerivative => {
-                    self.core
-                        .dir_derivative_over(0..n, p, s.expect("direction"))
-                }
-                KernelKind::Curvature => self.core.curvature_over(0..n, p, s.expect("direction")),
-                KernelKind::Gradient | KernelKind::Fused { .. } | KernelKind::Line => {
-                    unreachable!("scalar kernels only")
-                }
-            };
-        };
-        match self.run_pooled(pool, &ranges, self.chunk_task(kind, p, s), |_| Vec::new()) {
-            Ok(outs) => outs
-                .iter()
-                .map(|(o, _)| match kind {
-                    KernelKind::Value => o.value,
-                    KernelKind::DirDerivative => o.derivative,
-                    KernelKind::Curvature => o.curvature,
-                    KernelKind::Gradient | KernelKind::Fused { .. } | KernelKind::Line => {
-                        unreachable!("scalar kernels only")
-                    }
-                })
-                .sum(),
-            Err(err) => self.poison(err),
-        }
-    }
-
-    /// Writes the full gradient into `out` (length `dim`), reusing pooled
-    /// per-chunk scratch buffers in the parallel path.
+    /// Writes the full gradient into `out` (length `dim`).
     fn gradient_into_slice(&self, p: &Vector, out: &mut [f64]) {
         self.recorder.counter_add("eval_calls_total", 1);
         out.fill(0.0);
-        let n = self.core.num_ods();
-        let Some((pool, ranges)) = self.plan() else {
-            self.core.accumulate_gradient_over(0..n, p, out);
-            return;
-        };
-        let dim = self.core.dim;
-        let task = self.chunk_task(KernelKind::Gradient, p, None);
-        match self.run_pooled(pool, &ranges, task, |_| self.scratch.take(dim)) {
-            Ok(outs) => {
-                // Merge in chunk order — deterministic for a fixed worker count.
-                for (_, buf) in outs {
-                    for (o, b) in out.iter_mut().zip(&buf) {
-                        *o += b;
-                    }
-                    self.scratch.put(buf);
-                }
-            }
-            Err(err) => {
-                self.poison(err);
-                out.fill(f64::NAN);
-            }
-        }
+        self.core
+            .accumulate_gradient_over(0..self.core.num_ods(), p, out);
     }
 
     /// Fused single-CSR-pass evaluation: the objective value, the first and
@@ -908,86 +528,32 @@ impl<U: Utility + Send + Sync + 'static> PlacementObjective<U> {
                 g.as_mut_slice().fill(0.0);
             }
         }
-        let Some((pool, ranges)) = self.plan() else {
-            let gslice = grad.map(|g| &mut g.as_mut_slice()[..]);
-            let (value, derivative, curvature) = self.core.fused_over(0..n, p, s, gslice);
-            return FusedEval {
-                value,
-                derivative,
-                curvature,
-            };
-        };
-        let want_grad = grad.is_some();
-        let task = self.chunk_task(KernelKind::Fused { grad: want_grad }, p, s);
-        let scratch_len = if want_grad { dim } else { 0 };
-        match self.run_pooled(pool, &ranges, task, |_| self.scratch.take(scratch_len)) {
-            Ok(outs) => {
-                let (mut value, mut derivative, mut curvature) = (0.0, 0.0, 0.0);
-                for (out, buf) in outs {
-                    value += out.value;
-                    derivative += out.derivative;
-                    curvature += out.curvature;
-                    if out.grad_in_scratch {
-                        if let Some(g) = grad.as_mut() {
-                            for (o, b) in g.as_mut_slice().iter_mut().zip(&buf) {
-                                *o += b;
-                            }
-                        }
-                    }
-                    self.scratch.put(buf);
-                }
-                FusedEval {
-                    value,
-                    derivative,
-                    curvature,
-                }
-            }
-            Err(err) => {
-                let nan = self.poison(err);
-                if let Some(g) = grad.as_mut() {
-                    g.as_mut_slice().fill(nan);
-                }
-                FusedEval {
-                    value: nan,
-                    derivative: nan,
-                    curvature: nan,
-                }
-            }
+        let gslice = grad.map(|g| &mut g.as_mut_slice()[..]);
+        let (value, derivative, curvature) = self.core.fused_over(0..n, p, s, gslice);
+        FusedEval {
+            value,
+            derivative,
+            curvature,
         }
     }
 
     /// The line-preparation sweep of the approximate model: every row's
-    /// `(ρ_k(p), r_k·s)` pair ([`ObjectiveCore::line_over`]), fanned out
-    /// like any other evaluation and counted as one fused call. A pool
-    /// failure yields NaN pairs.
+    /// `(ρ_k(p), r_k·s)` pair ([`ObjectiveCore::line_over`]), counted as one
+    /// fused call.
     fn line_rows(&self, p: &Vector, s: &Vector) -> Vec<f64> {
         self.recorder.counter_add("eval_calls_total", 1);
         self.recorder.counter_add("eval_fused_calls_total", 1);
         let n = self.core.num_ods();
         let mut rows = vec![0.0; 2 * n];
-        let Some((pool, ranges)) = self.plan() else {
-            self.core.line_over(0..n, p, s, &mut rows);
-            return rows;
-        };
-        let task = self.chunk_task(KernelKind::Line, p, Some(s));
-        match self.run_pooled(pool, &ranges, task, |slot| {
-            self.scratch.take(2 * ranges[slot].len())
-        }) {
-            Ok(outs) => {
-                for (range, (_, buf)) in ranges.iter().zip(outs) {
-                    rows[2 * range.start..2 * range.end].copy_from_slice(&buf);
-                    self.scratch.put(buf);
-                }
-            }
-            Err(err) => rows.fill(self.poison(err)),
-        }
+        self.core.line_over(0..n, p, s, &mut rows);
         rows
     }
 }
 
-impl<U: Utility + Send + Sync + 'static> Objective for PlacementObjective<U> {
+impl<U: Utility> Objective for PlacementObjective<U> {
     fn value(&self, p: &Vector) -> f64 {
-        self.eval_scalar(KernelKind::Value, p, None)
+        self.recorder.counter_add("eval_calls_total", 1);
+        self.core.value_over(0..self.core.num_ods(), p)
     }
 
     fn gradient(&self, p: &Vector) -> Vector {
@@ -997,7 +563,8 @@ impl<U: Utility + Send + Sync + 'static> Objective for PlacementObjective<U> {
     }
 
     fn curvature_along(&self, p: &Vector, s: &Vector) -> f64 {
-        self.eval_scalar(KernelKind::Curvature, p, Some(s))
+        self.recorder.counter_add("eval_calls_total", 1);
+        self.core.curvature_over(0..self.core.num_ods(), p, s)
     }
 
     fn gradient_into(&self, p: &Vector, out: &mut Vector) {
@@ -1008,7 +575,8 @@ impl<U: Utility + Send + Sync + 'static> Objective for PlacementObjective<U> {
     }
 
     fn directional_derivative(&self, p: &Vector, s: &Vector) -> f64 {
-        self.eval_scalar(KernelKind::DirDerivative, p, Some(s))
+        self.recorder.counter_add("eval_calls_total", 1);
+        self.core.dir_derivative_over(0..self.core.num_ods(), p, s)
     }
 
     fn derivatives_along(&self, p: &Vector, s: &Vector) -> (f64, f64) {
@@ -1071,16 +639,6 @@ mod tests {
             .theta(50_000.0)
             .build()
             .unwrap()
-    }
-
-    /// A config that disables both auto-serial cutoffs, so an explicitly
-    /// attached pool is actually exercised on toy instances.
-    fn force_parallel(threads: usize) -> ParallelConfig {
-        ParallelConfig {
-            threads,
-            min_ods_per_thread: 1,
-            min_nnz_parallel: 0,
-        }
     }
 
     #[test]
@@ -1182,77 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn workers_capped_by_row_count() {
-        let cfg = ParallelConfig {
-            threads: 8,
-            min_ods_per_thread: 10,
-            ..ParallelConfig::default()
-        };
-        assert_eq!(cfg.workers_for(5), 1, "too little work: serial");
-        assert_eq!(cfg.workers_for(25), 2);
-        assert_eq!(cfg.workers_for(10_000), 8);
-        assert_eq!(ParallelConfig::default().workers_for(1_000_000), 1);
-        assert!(ParallelConfig::with_threads(0).workers_for(1 << 20) >= 1);
-    }
-
-    #[test]
-    fn nnz_cutoff_keeps_tiny_instances_serial() {
-        let task = small_task();
-        let idx = ReducedIndex::new(&task);
-        // Defaults: GEANT-sized nnz sits far below `min_nnz_parallel`, so
-        // even an 8-thread request resolves to the serial path.
-        let obj = PlacementObjective::new(&task, &idx, RateModel::Approximate)
-            .with_parallel(ParallelConfig::with_threads(8));
-        assert!(obj.nnz() < ParallelConfig::default().min_nnz_parallel);
-        assert!(obj.pool().is_none(), "tiny instance must stay serial");
-        // An explicitly attached pool still respects the per-call cutoff:
-        // with the default config it is never actually used.
-        let forced = PlacementObjective::new(&task, &idx, RateModel::Approximate)
-            .with_pool(EvalPool::new(2));
-        let p = Vector::filled(idx.dim(), 1e-3);
-        let dispatches_before = forced.pool().unwrap().stats().dispatches;
-        forced.value(&p);
-        assert_eq!(forced.pool().unwrap().stats().dispatches, dispatches_before);
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_serial() {
-        let task = small_task();
-        let idx = ReducedIndex::new(&task);
-        let p: Vector = (0..idx.dim()).map(|v| 2e-3 * (v as f64 + 1.0)).collect();
-        let s: Vector = (0..idx.dim())
-            .map(|v| if v % 2 == 0 { 1.0 } else { -0.5 })
-            .collect();
-        for model in [RateModel::Approximate, RateModel::Exact] {
-            let serial = PlacementObjective::new(&task, &idx, model);
-            for threads in [2, 4, 8] {
-                let par = PlacementObjective::new(&task, &idx, model)
-                    .with_parallel(force_parallel(threads))
-                    .with_pool(EvalPool::new(threads));
-                let (v0, v1) = (serial.value(&p), par.value(&p));
-                assert!(
-                    (v0 - v1).abs() <= 1e-12 * v0.abs().max(1.0),
-                    "{model:?} x{threads}: value {v0} vs {v1}"
-                );
-                let (g0, g1) = (serial.gradient(&p), par.gradient(&p));
-                for v in 0..idx.dim() {
-                    assert!(
-                        (g0[v] - g1[v]).abs() <= 1e-12 * g0[v].abs().max(1.0),
-                        "{model:?} x{threads} var {v}: {} vs {}",
-                        g0[v],
-                        g1[v]
-                    );
-                }
-                let (c0, c1) = (serial.curvature_along(&p, &s), par.curvature_along(&p, &s));
-                assert!(
-                    (c0 - c1).abs() <= 1e-12 * c0.abs().max(1.0),
-                    "{model:?} x{threads}: curvature {c0} vs {c1}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fused_kernel_matches_separate_kernels() {
         let task = small_task();
         let idx = ReducedIndex::new(&task);
@@ -1261,43 +748,32 @@ mod tests {
             .map(|v| if v % 3 == 0 { 1.0 } else { -0.4 })
             .collect();
         for model in [RateModel::Approximate, RateModel::Exact] {
-            for threads in [1, 4] {
-                let obj = if threads == 1 {
-                    PlacementObjective::new(&task, &idx, model)
-                } else {
-                    PlacementObjective::new(&task, &idx, model)
-                        .with_parallel(force_parallel(threads))
-                        .with_pool(EvalPool::new(threads))
-                };
-                let mut grad = Vector::zeros(idx.dim());
-                let fused = obj.eval_fused(&p, Some(&s), Some(&mut grad));
-                let tol = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0);
-                assert!(
-                    tol(fused.value, obj.value(&p)),
-                    "{model:?} x{threads} value"
-                );
-                assert!(
-                    tol(fused.derivative, obj.directional_derivative(&p, &s)),
-                    "{model:?} x{threads} derivative: {} vs {}",
-                    fused.derivative,
-                    obj.directional_derivative(&p, &s)
-                );
-                assert!(
-                    tol(fused.curvature, obj.curvature_along(&p, &s)),
-                    "{model:?} x{threads} curvature"
-                );
-                let g = obj.gradient(&p);
-                for v in 0..idx.dim() {
-                    assert!(tol(grad[v], g[v]), "{model:?} x{threads} grad var {v}");
-                }
-                // Trait-level fused entry points agree too.
-                let (d, c) = obj.derivatives_along(&p, &s);
-                assert!(tol(d, fused.derivative) && tol(c, fused.curvature));
-                let mut g2 = Vector::zeros(idx.dim());
-                let v2 = obj.value_and_gradient_into(&p, &mut g2);
-                assert!(tol(v2, fused.value));
-                assert_eq!(g2, obj.gradient(&p));
+            let obj = PlacementObjective::new(&task, &idx, model);
+            let mut grad = Vector::zeros(idx.dim());
+            let fused = obj.eval_fused(&p, Some(&s), Some(&mut grad));
+            let tol = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0);
+            assert!(tol(fused.value, obj.value(&p)), "{model:?} value");
+            assert!(
+                tol(fused.derivative, obj.directional_derivative(&p, &s)),
+                "{model:?} derivative: {} vs {}",
+                fused.derivative,
+                obj.directional_derivative(&p, &s)
+            );
+            assert!(
+                tol(fused.curvature, obj.curvature_along(&p, &s)),
+                "{model:?} curvature"
+            );
+            let g = obj.gradient(&p);
+            for v in 0..idx.dim() {
+                assert!(tol(grad[v], g[v]), "{model:?} grad var {v}");
             }
+            // Trait-level fused entry points agree too.
+            let (d, c) = obj.derivatives_along(&p, &s);
+            assert!(tol(d, fused.derivative) && tol(c, fused.curvature));
+            let mut g2 = Vector::zeros(idx.dim());
+            let v2 = obj.value_and_gradient_into(&p, &mut g2);
+            assert!(tol(v2, fused.value));
+            assert_eq!(g2, obj.gradient(&p));
         }
     }
 
@@ -1356,43 +832,36 @@ mod tests {
             let mut ts = vec![frac * t_max];
             ts.extend((0..=5).map(|i| t_max * i as f64 / 5.0));
             for model in [RateModel::Approximate, RateModel::Exact] {
-                for pooled in [false, true] {
-                    let rec = Recorder::enabled();
-                    let obj = PlacementObjective::from_parts(
-                        ods.iter().map(|&(_, _, c)| SreUtility::new(c)).collect(),
-                        ods.iter().map(|&(_, w, _)| w).collect(),
-                        ods.iter().map(|(row, _, _)| row.clone()).collect(),
-                        model,
-                        dim,
-                    )
-                    .with_recorder(rec.clone());
-                    let obj = if pooled {
-                        obj.with_parallel(force_parallel(2)).with_pool(EvalPool::new(2))
-                    } else {
-                        obj
-                    };
-                    let fused = || rec.snapshot().counter("eval_fused_calls_total").unwrap_or(0);
-                    let (sweep, per_probe) = match model {
-                        RateModel::Approximate => (1, 0),
-                        RateModel::Exact => (0, 1),
-                    };
+                let rec = Recorder::enabled();
+                let obj = PlacementObjective::from_parts(
+                    ods.iter().map(|&(_, _, c)| SreUtility::new(c)).collect(),
+                    ods.iter().map(|&(_, w, _)| w).collect(),
+                    ods.iter().map(|(row, _, _)| row.clone()).collect(),
+                    model,
+                    dim,
+                )
+                .with_recorder(rec.clone());
+                let fused = || rec.snapshot().counter("eval_fused_calls_total").unwrap_or(0);
+                let (sweep, per_probe) = match model {
+                    RateModel::Approximate => (1, 0),
+                    RateModel::Exact => (0, 1),
+                };
+                let before = fused();
+                let mut line = obj.prepare_line(&p, &s);
+                proptest::prop_assert_eq!(fused() - before, sweep, "{:?} preparation", model);
+                for &t in &ts {
                     let before = fused();
-                    let mut line = obj.prepare_line(&p, &s);
-                    proptest::prop_assert_eq!(fused() - before, sweep, "{:?} preparation", model);
-                    for &t in &ts {
-                        let before = fused();
-                        let (d, c) = line.derivatives(t);
-                        proptest::prop_assert_eq!(fused() - before, per_probe, "{:?} probe", model);
-                        let mut x = p.clone();
-                        x.axpy(t, &s);
-                        let (d_ref, c_ref) = obj.derivatives_along(&x, &s);
-                        let close = |a: f64, b: f64| (a - b).abs() <= 1e-10 * a.abs().max(b.abs());
-                        proptest::prop_assert!(
-                            close(d, d_ref) && close(c, c_ref),
-                            "{:?} pooled={} t={}: ({}, {}) vs ({}, {})",
-                            model, pooled, t, d, c, d_ref, c_ref
-                        );
-                    }
+                    let (d, c) = line.derivatives(t);
+                    proptest::prop_assert_eq!(fused() - before, per_probe, "{:?} probe", model);
+                    let mut x = p.clone();
+                    x.axpy(t, &s);
+                    let (d_ref, c_ref) = obj.derivatives_along(&x, &s);
+                    let close = |a: f64, b: f64| (a - b).abs() <= 1e-10 * a.abs().max(b.abs());
+                    proptest::prop_assert!(
+                        close(d, d_ref) && close(c, c_ref),
+                        "{:?} t={}: ({}, {}) vs ({}, {})",
+                        model, t, d, c, d_ref, c_ref
+                    );
                 }
             }
         }
@@ -1403,9 +872,7 @@ mod tests {
         let task = small_task();
         let idx = ReducedIndex::new(&task);
         for model in [RateModel::Approximate, RateModel::Exact] {
-            let obj = PlacementObjective::new(&task, &idx, model)
-                .with_parallel(force_parallel(4))
-                .with_pool(EvalPool::new(4));
+            let obj = PlacementObjective::new(&task, &idx, model);
             let mut out = Vector::zeros(idx.dim());
             for step in 1..4 {
                 let p = Vector::filled(idx.dim(), 1e-3 * step as f64);

@@ -67,7 +67,6 @@ pub mod maxmin;
 pub mod multi;
 mod placement;
 pub mod planning;
-mod pool;
 pub mod report;
 pub mod scenarios;
 pub mod simulate;
@@ -77,15 +76,12 @@ mod utility;
 
 pub use error::CoreError;
 pub use eval::{evaluate_accuracy, summarize, AccuracySummary, OdAccuracy};
-pub use formulation::{
-    build_problem, FusedEval, ParallelConfig, PlacementObjective, RateModel, ReducedIndex,
-};
+pub use formulation::{build_problem, FusedEval, PlacementObjective, RateModel, ReducedIndex};
 pub use placement::{
     evaluate_rates, solve_placement, solve_placement_observed, solve_placement_warm,
     solve_placement_warm_observed, Degraded, PlacementConfig, PlacementSolution,
     ACTIVATION_THRESHOLD,
 };
-pub use pool::{ChunkOut, ChunkTask, EvalPool, PoolError, PoolStats};
 pub use task::{MeasurementTask, TaskBuilder, TrackedOd};
 pub use utility::{LogUtility, SreUtility, Utility};
 

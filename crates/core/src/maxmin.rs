@@ -19,6 +19,7 @@ use crate::{
     build_problem, CoreError, MeasurementTask, PlacementObjective, RateModel, ReducedIndex, Utility,
 };
 use nws_linalg::Vector;
+use nws_obs::Recorder;
 use nws_solver::{Objective, Solver, SolverOptions};
 use nws_topo::LinkId;
 
@@ -165,7 +166,7 @@ pub fn solve_maxmin(
     let mut last = None;
     for &beta in betas {
         let obj = SoftMinObjective::new(&inner, beta);
-        let sol = solver.maximize_from(&obj, &problem, start.clone())?;
+        let sol = solver.maximize_from(&obj, &problem, start.clone(), &Recorder::disabled())?;
         start = sol.p.clone();
         last = Some((sol, beta));
     }

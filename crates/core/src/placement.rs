@@ -1,8 +1,7 @@
 //! The joint monitor-activation and sampling-rate optimizer.
 
 use crate::{
-    build_problem, CoreError, MeasurementTask, ParallelConfig, PlacementObjective, RateModel,
-    ReducedIndex, Utility,
+    build_problem, CoreError, MeasurementTask, PlacementObjective, RateModel, ReducedIndex, Utility,
 };
 use nws_linalg::Vector;
 use nws_obs::Recorder;
@@ -25,12 +24,6 @@ pub struct PlacementConfig {
     pub rate_model: RateModel,
     /// Underlying solver options (iteration cap 2000 etc.).
     pub solver: SolverOptions,
-    /// Objective-evaluation fan-out (default: serial). With `threads != 1`
-    /// the objective attaches a shared persistent worker pool
-    /// ([`crate::EvalPool`]) sized to `min(requested, cores)`; tiny
-    /// instances below the nnz cutoff stay serial regardless. See
-    /// [`ParallelConfig`].
-    pub parallel: ParallelConfig,
 }
 
 /// Marks a solution the solver could not certify: the rates are feasible
@@ -119,8 +112,8 @@ pub fn solve_placement(
 }
 
 /// [`solve_placement`] with observability: the objective and solver record
-/// phase spans, iteration counters and evaluation fan-out metrics into
-/// `rec`. With a disabled recorder this is exactly [`solve_placement`].
+/// phase spans, iteration counters and evaluation counters into `rec`.
+/// With a disabled recorder this is exactly [`solve_placement`].
 ///
 /// # Errors
 /// As for [`solve_placement`].
@@ -130,12 +123,11 @@ pub fn solve_placement_observed(
     rec: &Recorder,
 ) -> Result<PlacementSolution, CoreError> {
     let index = ReducedIndex::new(task);
-    let objective = PlacementObjective::new(task, &index, config.rate_model)
-        .with_parallel(config.parallel)
-        .with_recorder(rec.clone());
+    let objective =
+        PlacementObjective::new(task, &index, config.rate_model).with_recorder(rec.clone());
     let problem = build_problem(task, &index)?;
     let solver = Solver::new(config.solver);
-    let sol = solver.maximize_observed(&objective, &problem, rec)?;
+    let sol = solver.maximize_from(&objective, &problem, problem.feasible_start(), rec)?;
     Ok(finish_solution(task, &index, &objective, sol))
 }
 
@@ -244,9 +236,8 @@ pub fn solve_placement_warm_observed(
     let index = ReducedIndex::new(task);
     let problem = build_problem(task, &index)?;
 
-    let objective = PlacementObjective::new(task, &index, config.rate_model)
-        .with_parallel(config.parallel)
-        .with_recorder(rec.clone());
+    let objective =
+        PlacementObjective::new(task, &index, config.rate_model).with_recorder(rec.clone());
 
     // Reduce to the candidate coordinates, then project onto the feasible
     // face spanned by the carried monitors. The projection handles every
@@ -284,7 +275,7 @@ pub fn solve_placement_warm_observed(
     }
 
     let solver = Solver::new(config.solver);
-    let sol = solver.maximize_from_observed(&objective, &problem, start, rec)?;
+    let sol = solver.maximize_from(&objective, &problem, start, rec)?;
     Ok(finish_solution(task, &index, &objective, sol))
 }
 

@@ -17,10 +17,6 @@ pub enum TerminationReason {
     /// the returned point is feasible and the best found so far — the
     /// anytime contract a serving daemon relies on.
     DeadlineExceeded,
-    /// A [`crate::SolverHooks`] implementation returned
-    /// [`crate::HookAction::Stop`]. The returned point is feasible and the
-    /// best found so far, same anytime contract as a deadline.
-    HookStopped,
 }
 
 /// Convergence diagnostics of one solver run — the quantities the paper

@@ -60,24 +60,20 @@
 mod active_set;
 mod diagnostics;
 mod error;
-mod hooks;
 mod kkt;
 mod line_search;
 mod problem;
 mod projection;
 mod solve;
-mod stepsize;
 
 pub use active_set::{ActiveSet, VarState};
 pub use diagnostics::{Diagnostics, Solution, TerminationReason};
 pub use error::SolverError;
-pub use hooks::{GradientTrace, HookAction, IterationInfo, NoHooks, SolverHooks};
 pub use kkt::{compute_multipliers, KktReport, Multipliers};
 pub use line_search::{LineProbe, LineSearchOutcome, NewtonLineSearch, TrialPoints};
 pub use problem::{BoxLinearProblem, Objective};
 pub use projection::project_gradient;
 pub use solve::{SolveBudget, Solver, SolverOptions};
-pub use stepsize::{BacktrackingStep, StepSize};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, SolverError>;

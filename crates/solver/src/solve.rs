@@ -1,9 +1,9 @@
 //! The gradient-projection solver loop.
 
 use crate::{
-    compute_multipliers, project_gradient, ActiveSet, BoxLinearProblem, Diagnostics, HookAction,
-    IterationInfo, LineSearchOutcome, NewtonLineSearch, NoHooks, Objective, Result, Solution,
-    SolverError, SolverHooks, StepSize, TerminationReason, VarState,
+    compute_multipliers, project_gradient, ActiveSet, BoxLinearProblem, Diagnostics,
+    LineSearchOutcome, NewtonLineSearch, Objective, Result, Solution, SolverError,
+    TerminationReason, VarState,
 };
 use nws_linalg::Vector;
 use nws_obs::Recorder;
@@ -101,29 +101,24 @@ impl Solver {
     }
 
     /// Maximizes `obj` over `problem` from the canonical feasible start
-    /// ([`BoxLinearProblem::feasible_start`]).
+    /// ([`BoxLinearProblem::feasible_start`]), recording nothing.
     ///
     /// # Errors
     /// Propagates problem/objective errors; see [`Solver::maximize_from`].
     pub fn maximize<O: Objective>(&self, obj: &O, problem: &BoxLinearProblem) -> Result<Solution> {
-        self.maximize_from(obj, problem, problem.feasible_start())
+        self.maximize_from(
+            obj,
+            problem,
+            problem.feasible_start(),
+            &Recorder::disabled(),
+        )
     }
 
-    /// [`Solver::maximize`] with phase timings and iteration counters
-    /// recorded into `rec` (see [`Solver::maximize_from_observed`]).
-    ///
-    /// # Errors
-    /// As for [`Solver::maximize`].
-    pub fn maximize_observed<O: Objective>(
-        &self,
-        obj: &O,
-        problem: &BoxLinearProblem,
-        rec: &Recorder,
-    ) -> Result<Solution> {
-        self.maximize_from_observed(obj, problem, problem.feasible_start(), rec)
-    }
-
-    /// Maximizes `obj` over `problem` starting from `start`.
+    /// Maximizes `obj` over `problem` starting from `start`, wrapping the
+    /// whole run in a `solve` span with child spans per phase (`direction`,
+    /// `projection`, `kkt_check`, `line_search`) and bumping the
+    /// `solver_iterations_total` / `solver_releases_total` counters on
+    /// success. With a disabled recorder this costs one branch per phase.
     ///
     /// # Errors
     /// [`SolverError::InvalidProblem`] if `start` is not feasible;
@@ -134,54 +129,11 @@ impl Solver {
         obj: &O,
         problem: &BoxLinearProblem,
         start: Vector,
-    ) -> Result<Solution> {
-        self.maximize_from_observed(obj, problem, start, &Recorder::disabled())
-    }
-
-    /// [`Solver::maximize_from`] with observability: wraps the whole run in
-    /// a `solve` span with child spans per phase (`direction`, `projection`,
-    /// `kkt_check`, `line_search`) and bumps the
-    /// `solver_iterations_total` / `solver_releases_total` counters on
-    /// success. With a disabled recorder this costs one branch per phase.
-    ///
-    /// # Errors
-    /// As for [`Solver::maximize_from`].
-    pub fn maximize_from_observed<O: Objective>(
-        &self,
-        obj: &O,
-        problem: &BoxLinearProblem,
-        start: Vector,
         rec: &Recorder,
-    ) -> Result<Solution> {
-        let step = self.options.line_search;
-        self.maximize_with(obj, problem, start, rec, &step, &mut NoHooks)
-    }
-
-    /// The fully general entry point: [`Solver::maximize_from_observed`]
-    /// with an explicit step-size rule and per-iteration hooks.
-    ///
-    /// The solve loop itself is generic over both: `step` picks the 1-D
-    /// step along each search direction (the configured
-    /// [`NewtonLineSearch`] for every plain entry point; see
-    /// [`crate::BacktrackingStep`] for the inexact alternative) and `hooks`
-    /// observes each iteration and may stop the solve early
-    /// ([`TerminationReason::HookStopped`]). Pass [`NoHooks`] when only the
-    /// step rule matters.
-    ///
-    /// # Errors
-    /// As for [`Solver::maximize_from`].
-    pub fn maximize_with<O: Objective, S: StepSize, H: SolverHooks>(
-        &self,
-        obj: &O,
-        problem: &BoxLinearProblem,
-        start: Vector,
-        rec: &Recorder,
-        step: &S,
-        hooks: &mut H,
     ) -> Result<Solution> {
         let sol = {
             let _solve = rec.span("solve");
-            self.run_loop(obj, problem, start, rec, step, hooks)?
+            self.run_loop(obj, problem, start, rec)?
         };
         rec.counter_add("solver_iterations_total", sol.diagnostics.iterations as u64);
         rec.counter_add(
@@ -191,14 +143,12 @@ impl Solver {
         Ok(sol)
     }
 
-    fn run_loop<O: Objective, S: StepSize, H: SolverHooks>(
+    fn run_loop<O: Objective>(
         &self,
         obj: &O,
         problem: &BoxLinearProblem,
         start: Vector,
         rec: &Recorder,
-        step: &S,
-        hooks: &mut H,
     ) -> Result<Solution> {
         let o = &self.options;
         if !problem.is_feasible(&start, 1e-9) {
@@ -262,18 +212,6 @@ impl Solver {
             last_proj_norm = d.norm_inf();
             let scale = g.norm_inf().max(1.0);
 
-            if hooks.on_iteration(&IterationInfo {
-                iteration: iterations,
-                projected_gradient_norm: last_proj_norm,
-                gradient_norm: g.norm_inf(),
-                free_variables: active.num_free(),
-                p: &p,
-            }) == HookAction::Stop
-            {
-                overrun_reason = TerminationReason::HookStopped;
-                break;
-            }
-
             let stationary = last_proj_norm <= o.grad_tol * scale;
             if stationary {
                 let _phase = rec.span("kkt_check");
@@ -286,7 +224,7 @@ impl Solver {
                     // one exact line search along the projection: at a true
                     // constrained maximum it cannot improve the objective.
                     if let Some(verified) =
-                        self.verification_step(obj, step, &p, &d, scale, problem, &active)?
+                        self.verification_step(obj, &p, &d, scale, problem, &active)?
                     {
                         let (cand, hit) = verified;
                         p = cand;
@@ -306,7 +244,7 @@ impl Solver {
                         prev_proj = None;
                         continue;
                     }
-                    return Ok(self.finish_with_trajectory(
+                    return Ok(self.finish(
                         obj,
                         problem,
                         p,
@@ -364,7 +302,7 @@ impl Solver {
 
             let outcome = {
                 let _phase = rec.span("line_search");
-                step.maximize(obj, &p, &s, t_max)?
+                o.line_search.maximize(obj, &p, &s, t_max)?
             };
             match outcome {
                 LineSearchOutcome::Interior(t) => {
@@ -441,7 +379,7 @@ impl Solver {
                         let rep = compute_multipliers(&g, &active, problem, o.multiplier_tol);
                         last_resid = rep.stationarity_residual;
                         if rep.negative.is_empty() {
-                            return Ok(self.finish_with_trajectory(
+                            return Ok(self.finish(
                                 obj,
                                 problem,
                                 p,
@@ -476,7 +414,7 @@ impl Solver {
 
         obj.gradient_into(&p, &mut g);
         let rep = compute_multipliers(&g, &active, problem, self.options.multiplier_tol);
-        Ok(self.finish_with_trajectory(
+        Ok(self.finish(
             obj,
             problem,
             p,
@@ -497,11 +435,9 @@ impl Solver {
     /// the objective beyond float noise — proof that `p` was a stiff valley
     /// floor rather than the constrained maximum — and `None` when no
     /// meaningful improvement exists (true convergence).
-    #[allow(clippy::too_many_arguments)] // internal helper; the args are the solver's loop state
-    fn verification_step<O: Objective, S: StepSize>(
+    fn verification_step<O: Objective>(
         &self,
         obj: &O,
-        step: &S,
         p: &Vector,
         d: &Vector,
         gradient_scale: f64,
@@ -538,7 +474,7 @@ impl Solver {
                 None
             }
         };
-        match step.maximize(obj, p, d, t_max)? {
+        match self.options.line_search.maximize(obj, p, d, t_max)? {
             LineSearchOutcome::Interior(t) => {
                 let mut cand = p.clone();
                 cand.axpy(t, d);
@@ -551,42 +487,6 @@ impl Solver {
             }
             LineSearchOutcome::NoProgress => Ok(None),
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish_with_trajectory<O: Objective>(
-        &self,
-        obj: &O,
-        problem: &BoxLinearProblem,
-        p: Vector,
-        lambda: f64,
-        kkt_verified: bool,
-        reason: TerminationReason,
-        iterations: usize,
-        constraint_releases: usize,
-        bounds_hit: usize,
-        final_projected_gradient: f64,
-        stationarity_residual: f64,
-        mut trajectory: Vec<f64>,
-    ) -> Solution {
-        let mut sol = self.finish(
-            obj,
-            problem,
-            p,
-            lambda,
-            kkt_verified,
-            reason,
-            iterations,
-            constraint_releases,
-            bounds_hit,
-            final_projected_gradient,
-            stationarity_residual,
-        );
-        if self.options.record_objective {
-            trajectory.push(sol.value);
-            sol.objective_trajectory = trajectory;
-        }
-        sol
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -603,6 +503,7 @@ impl Solver {
         bounds_hit: usize,
         final_projected_gradient: f64,
         stationarity_residual: f64,
+        mut trajectory: Vec<f64>,
     ) -> Solution {
         // The conditional feasibility repair tolerates sub-1e-10 float drift
         // during the search; the *returned* point must sit exactly in the box.
@@ -610,6 +511,9 @@ impl Solver {
             p[i] = p[i].clamp(0.0, problem.upper()[i]);
         }
         let value = obj.value(&p);
+        if self.options.record_objective {
+            trajectory.push(value);
+        }
         Solution {
             value,
             lambda,
@@ -622,7 +526,7 @@ impl Solver {
                 final_projected_gradient,
                 stationarity_residual,
             },
-            objective_trajectory: Vec::new(),
+            objective_trajectory: trajectory,
             p,
         }
     }
@@ -868,7 +772,7 @@ mod tests {
         let pb =
             BoxLinearProblem::new(Vector::filled(1, 1.0), Vector::filled(1, 1.0), 0.5).unwrap();
         let err = Solver::default()
-            .maximize_from(&obj, &pb, Vector::from(vec![0.9]))
+            .maximize_from(&obj, &pb, Vector::from(vec![0.9]), &Recorder::disabled())
             .unwrap_err();
         assert!(matches!(err, SolverError::InvalidProblem(_)));
     }
@@ -884,7 +788,12 @@ mod tests {
         let pb =
             BoxLinearProblem::new(Vector::filled(2, 1.0), Vector::filled(2, 1.0), 1.0).unwrap();
         let sol = Solver::default()
-            .maximize_from(&obj, &pb, Vector::from(vec![1.0, 0.0]))
+            .maximize_from(
+                &obj,
+                &pb,
+                Vector::from(vec![1.0, 0.0]),
+                &Recorder::disabled(),
+            )
             .unwrap();
         assert!(sol.kkt_verified);
         assert!(
@@ -1019,7 +928,7 @@ mod tests {
         .unwrap();
         let rec = Recorder::enabled();
         let sol = Solver::default()
-            .maximize_observed(&obj, &pb, &rec)
+            .maximize_from(&obj, &pb, pb.feasible_start(), &rec)
             .unwrap();
         assert!(sol.kkt_verified);
         let snap = rec.snapshot();
@@ -1050,99 +959,6 @@ mod tests {
         let silent = Recorder::enabled();
         Solver::default().maximize(&obj, &pb).unwrap();
         assert!(silent.snapshot().spans.is_empty());
-    }
-
-    #[test]
-    fn hook_stop_terminates_with_feasible_point() {
-        use crate::{HookAction, IterationInfo, SolverHooks};
-        struct StopAfter(usize);
-        impl SolverHooks for StopAfter {
-            fn on_iteration(&mut self, info: &IterationInfo<'_>) -> HookAction {
-                if info.iteration >= self.0 {
-                    HookAction::Stop
-                } else {
-                    HookAction::Continue
-                }
-            }
-        }
-        let obj = LogUtil { eps: 1e-6 };
-        let pb = BoxLinearProblem::new(
-            Vector::filled(4, 1.0),
-            Vector::from(vec![1.0, 2.0, 3.0, 4.0]),
-            1.0,
-        )
-        .unwrap();
-        let solver = Solver::default();
-        let step = solver.options.line_search;
-        let sol = solver
-            .maximize_with(
-                &obj,
-                &pb,
-                pb.feasible_start(),
-                &Recorder::disabled(),
-                &step,
-                &mut StopAfter(2),
-            )
-            .unwrap();
-        assert_eq!(sol.reason, TerminationReason::HookStopped);
-        assert!(!sol.kkt_verified);
-        assert_eq!(sol.diagnostics.iterations, 2);
-        assert!(pb.is_feasible(&sol.p, 1e-6));
-    }
-
-    #[test]
-    fn gradient_trace_hook_records_every_iteration() {
-        let obj = LogUtil { eps: 1e-3 };
-        let pb = BoxLinearProblem::new(
-            Vector::filled(3, 10.0),
-            Vector::from(vec![1.0, 2.0, 4.0]),
-            2.0,
-        )
-        .unwrap();
-        let solver = Solver::default();
-        let step = solver.options.line_search;
-        let mut trace = crate::GradientTrace::default();
-        let sol = solver
-            .maximize_with(
-                &obj,
-                &pb,
-                pb.feasible_start(),
-                &Recorder::disabled(),
-                &step,
-                &mut trace,
-            )
-            .unwrap();
-        assert!(sol.kkt_verified);
-        assert_eq!(trace.projected_norms.len(), sol.diagnostics.iterations);
-        assert_eq!(trace.free_counts.len(), sol.diagnostics.iterations);
-        assert!(trace.projected_norms.iter().all(|n| n.is_finite()));
-    }
-
-    #[test]
-    fn backtracking_step_reaches_the_same_optimum() {
-        let obj = Quad {
-            w: vec![1.0, 4.0],
-            c: vec![1.0, 1.0],
-        };
-        let pb =
-            BoxLinearProblem::new(Vector::filled(2, 1.0), Vector::filled(2, 1.0), 1.0).unwrap();
-        let exact = Solver::default().maximize(&obj, &pb).unwrap();
-        let inexact = Solver::default()
-            .maximize_with(
-                &obj,
-                &pb,
-                pb.feasible_start(),
-                &Recorder::disabled(),
-                &crate::BacktrackingStep::default(),
-                &mut crate::NoHooks,
-            )
-            .unwrap();
-        assert!(
-            inexact.p.approx_eq(&exact.p, 1e-5),
-            "{} vs {}",
-            inexact.p,
-            exact.p
-        );
     }
 
     #[test]

@@ -1,12 +1,7 @@
 //! Seed determinism of the random topology generators: the same seed must
-//! produce a byte-identical graph on every run, and the result must not
-//! depend on how many solver threads the process is configured with —
-//! generation draws from one seeded `StdRng` and never touches a pool.
-//! (Style mirrors `nws-core`'s pool determinism tests: compare a serial
-//! reference byte-for-byte against re-runs under varied configs.)
+//! produce a byte-identical graph on every run — generation draws from one
+//! seeded `StdRng`.
 
-use nws_core::{solve_placement, MeasurementTask, PlacementConfig};
-use nws_routing::OdPair;
 use nws_topo::random::{gabriel_like, ring_with_chords};
 use nws_topo::{format, Topology};
 
@@ -35,40 +30,4 @@ fn same_seed_same_graph_across_runs() {
         bytes(&gabriel_like(16, 0.35, 1)),
         bytes(&gabriel_like(16, 0.35, 2))
     );
-}
-
-#[test]
-fn generated_graph_unaffected_by_thread_config() {
-    // Generation itself must be identical whatever `--threads` resolves
-    // to, and a placement solved on the generated graph must agree across
-    // thread counts (the eval pool guarantees a deterministic reduction
-    // order, so threading cannot leak into the result).
-    let reference = bytes(&ring_with_chords(10, 4, 7));
-    let mut objectives: Vec<f64> = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let mut config = PlacementConfig::default();
-        config.parallel.threads = threads;
-
-        let topo = ring_with_chords(10, 4, 7);
-        assert_eq!(bytes(&topo), reference, "threads={threads}");
-
-        let node = |name: &str| {
-            topo.node_ids()
-                .find(|&n| topo.node(n).name() == name)
-                .expect("generated ring is missing expected PoPs")
-        };
-        let task = MeasurementTask::builder(topo.clone())
-            .track("P00-P05", OdPair::new(node("P00"), node("P05")), 5_000.0)
-            .theta(1_000.0)
-            .build()
-            .expect("task builds on the generated graph");
-        let sol = solve_placement(&task, &config).expect("solvable");
-        objectives.push(sol.objective);
-    }
-    for w in objectives.windows(2) {
-        assert!(
-            (w[0] - w[1]).abs() <= 1e-9 * w[0].abs().max(1.0),
-            "objective drifts across thread counts: {objectives:?}"
-        );
-    }
 }

@@ -55,21 +55,12 @@ For replay reports ("bench": "replay", from `nws replay --bench-out`):
 
 For eval reports, checks in order:
 
-1.  Schema: the report carries every expected section and field, lists are
-    aligned with the `threads` axis, all numbers finite and positive.
-2.  Perf gates (hard, the acceptance criteria of the perf work):
-      - gradient speedup at the highest thread count on the `random*` exact
-        case must be >= SPEEDUP_FLOOR (parallel may never lose to serial
-        beyond timer noise; on a single-core host the engine auto-falls back
-        to serial, so the curve sits at ~1.0 and passes by design);
-      - the speedup curve must be monotone non-decreasing in threads within
-        MONOTONE_TOL (more workers never make it meaningfully slower);
+1.  Schema: the report carries every expected section and field, all
+    numbers finite and positive.
+2.  Perf gates (hard):
       - obs overhead_ratio <= OBS_RATIO_MAX;
-      - every solver case: parallel_ms <= serial_ms * SOLVER_PARITY (the
-        regression this suite exists to prevent measured 280x) and
-        objective_rel_diff <= OBJ_REL_DIFF_MAX;
-      - every fused case: fusion_gain at the serial variant >= FUSED_FLOOR
-        (the single-pass kernel may never lose to three passes).
+      - every fused case: fusion_gain >= FUSED_FLOOR (the single-pass
+        kernel may never lose to three passes).
 3.  Structural baselines (scripts/bench_baselines.json): num_ods/nnz/dim of
     each case must match exactly — instance drift silently invalidates every
     committed number — and timing fields are compared within a wide
@@ -85,12 +76,7 @@ import math
 import sys
 from pathlib import Path
 
-SPEEDUP_FLOOR = 0.90  # parallel vs serial gradient, highest thread count
-MONOTONE_TOL = 0.15  # max allowed dip between consecutive thread counts
 OBS_RATIO_MAX = 1.05  # recorder overhead gate (matches bench_smoke.sh)
-SOLVER_PARITY = 1.5  # parallel solve within 1.5x of serial (sub-ms solves
-# jitter ~20% on shared runners; the regression this guards against was 280x)
-OBJ_REL_DIFF_MAX = 1e-6  # parallel and serial solves agree on the objective
 FUSED_FLOOR = 0.95  # fused may never lose to separate (0.05 timer noise)
 TIMING_BAND = 8.0  # baseline timing ratio band (order-of-magnitude net)
 
@@ -111,19 +97,9 @@ EVAL_FIELDS = (
     "value_ms",
     "gradient_ms",
     "curvature_ms",
-    "gradient_speedup",
 )
 FUSED_FIELDS = ("name", "model", "separate_ms", "fused_ms", "fusion_gain")
-SOLVER_FIELDS = (
-    "name",
-    "num_ods",
-    "serial_ms",
-    "parallel_ms",
-    "speedup",
-    "parallel_threads",
-    "iterations",
-    "objective_rel_diff",
-)
+SOLVER_FIELDS = ("name", "num_ods", "serial_ms", "iterations")
 
 failures = []
 
@@ -137,15 +113,12 @@ def finite_positive(xs):
 
 
 def check_schema(report):
-    for key in ("bench", "quick", "available_cores", "threads", "obs",
+    for key in ("bench", "quick", "available_cores", "obs",
                 "eval_cases", "fused", "solver_cases"):
         if key not in report:
             fail(f"schema: missing top-level key {key!r}")
     if failures:
         return
-    threads = report["threads"]
-    if not threads or threads != sorted(threads) or not finite_positive(threads):
-        fail(f"schema: malformed threads axis {threads!r}")
     obs = report["obs"]
     for key in ("disabled_ms", "enabled_ms", "overhead_ratio"):
         if not finite_positive([obs.get(key, -1)]):
@@ -154,64 +127,34 @@ def check_schema(report):
         for key in EVAL_FIELDS:
             if key not in case:
                 fail(f"schema: eval case {case.get('name', '?')} missing {key!r}")
-                continue
-        for key in ("value_ms", "gradient_ms", "curvature_ms", "gradient_speedup"):
-            xs = case.get(key, [])
-            if len(xs) != len(threads):
-                fail(f"schema: {case['name']}/{case['model']}.{key} has "
-                     f"{len(xs)} entries, expected {len(threads)}")
-            elif not finite_positive(xs):
-                fail(f"schema: {case['name']}/{case['model']}.{key} not finite-positive: {xs}")
+        for key in ("value_ms", "gradient_ms", "curvature_ms"):
+            if key in case and not finite_positive([case[key]]):
+                fail(f"schema: {case['name']}/{case['model']}.{key} not "
+                     f"finite-positive: {case[key]}")
     for case in report["fused"]:
         for key in FUSED_FIELDS:
             if key not in case:
                 fail(f"schema: fused case {case.get('name', '?')} missing {key!r}")
         for key in ("separate_ms", "fused_ms", "fusion_gain"):
-            xs = case.get(key, [])
-            if len(xs) != len(threads) or not finite_positive(xs):
-                fail(f"schema: fused {case.get('name', '?')}.{key} malformed: {xs}")
+            if not finite_positive([case.get(key, -1)]):
+                fail(f"schema: fused {case.get('name', '?')}.{key} malformed: "
+                     f"{case.get(key)}")
     for case in report["solver_cases"]:
         for key in SOLVER_FIELDS:
             if key not in case:
                 fail(f"schema: solver case {case.get('name', '?')} missing {key!r}")
-        if case.get("objective_rel_diff", 1.0) < 0:
-            fail(f"schema: solver {case.get('name', '?')} negative objective_rel_diff")
 
 
 def check_perf_gates(report):
-    threads = report["threads"]
-    # Gate 1+2: random-case exact-model gradient speedup floor + monotone curve.
-    random_exact = [c for c in report["eval_cases"]
-                    if c["name"].startswith("random") and c["model"] == "exact"]
-    if not random_exact:
-        fail("gates: no random/exact eval case to gate on")
-    for case in random_exact:
-        speedup = case["gradient_speedup"]
-        if speedup[-1] < SPEEDUP_FLOOR:
-            fail(f"gates: {case['name']} exact gradient speedup at x{threads[-1]} "
-                 f"is {speedup[-1]:.3f} < {SPEEDUP_FLOOR} — parallel lost to serial")
-        for i in range(1, len(speedup)):
-            if speedup[i] < speedup[i - 1] - MONOTONE_TOL:
-                fail(f"gates: {case['name']} exact speedup curve non-monotone at "
-                     f"x{threads[i]}: {speedup[i - 1]:.3f} -> {speedup[i]:.3f} "
-                     f"(tolerance {MONOTONE_TOL})")
-    # Gate 3: observability overhead.
+    # Gate 1: observability overhead.
     ratio = report["obs"]["overhead_ratio"]
     if ratio > OBS_RATIO_MAX:
         fail(f"gates: obs overhead_ratio {ratio:.4f} > {OBS_RATIO_MAX}")
-    # Gate 4: solver parallel parity + solution agreement.
-    for case in report["solver_cases"]:
-        if case["parallel_ms"] > case["serial_ms"] * SOLVER_PARITY:
-            fail(f"gates: solver {case['name']} parallel {case['parallel_ms']:.1f} ms "
-                 f"> serial {case['serial_ms']:.1f} ms x {SOLVER_PARITY}")
-        if case["objective_rel_diff"] > OBJ_REL_DIFF_MAX:
-            fail(f"gates: solver {case['name']} objective_rel_diff "
-                 f"{case['objective_rel_diff']:.2e} > {OBJ_REL_DIFF_MAX}")
-    # Gate 5: the fused kernel must win (serial variant, steady measurement).
+    # Gate 2: the fused kernel must win.
     for case in report["fused"]:
-        if case["fusion_gain"][0] < FUSED_FLOOR:
+        if case["fusion_gain"] < FUSED_FLOOR:
             fail(f"gates: fused {case['name']}/{case['model']} gain "
-                 f"{case['fusion_gain'][0]:.3f} < {FUSED_FLOOR} — fusion lost "
+                 f"{case['fusion_gain']:.3f} < {FUSED_FLOOR} — fusion lost "
                  f"to separate kernels")
 
 
@@ -219,7 +162,6 @@ def structure_of(report):
     """The baseline-worthy projection of a report: exact instance shape plus
     banded reference timings."""
     return {
-        "threads": report["threads"],
         "eval_cases": [
             {
                 "name": c["name"],
@@ -227,7 +169,7 @@ def structure_of(report):
                 "num_ods": c["num_ods"],
                 "nnz": c["nnz"],
                 "dim": c["dim"],
-                "gradient_ms_serial": c["gradient_ms"][0],
+                "gradient_ms_serial": c["gradient_ms"],
             }
             for c in report["eval_cases"]
         ],
@@ -244,8 +186,6 @@ def check_baselines(report):
         return
     base = json.loads(BASELINES.read_text())
     cur = structure_of(report)
-    if base["threads"] != cur["threads"]:
-        fail(f"baselines: threads axis changed {base['threads']} -> {cur['threads']}")
     for section in ("eval_cases", "solver_cases"):
         by_key = {(c["name"], c.get("model")): c for c in base.get(section, [])}
         for c in cur[section]:
