@@ -2,7 +2,9 @@
 //!
 //! Three instrument kinds, all recorded through a shared [`Recorder`]:
 //!
-//! - **Counters** — monotone `u64` totals (`solver_iterations_total`).
+//! - **Counters** — monotone `u64` totals (`solver_iterations_total`),
+//!   optionally split by one static label dimension
+//!   (`daemon_requests_total{cmd="ping"}`).
 //! - **Gauges** — last-written `f64` values (`daemon_queue_depth`).
 //! - **Histograms** — fixed-bucket latency distributions
 //!   ([`LATENCY_BUCKETS_MS`]), optionally split by one static label
@@ -27,8 +29,8 @@
 //! deterministic Prometheus-style text exposition
 //! ([`Snapshot::exposition`]) with an optional span-tree dump rendered as
 //! `# span` comment lines. "Deterministic" means the *format* — metric
-//! ordering follows registration order, numbers print exactly — so two
-//! runs differ only where the measured values differ.
+//! families follow first-registration order, numbers print exactly — so
+//! two runs differ only where the measured values differ.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -144,13 +146,48 @@ impl Recorder {
 
     /// Adds `delta` to the monotone counter `name`.
     pub fn counter_add(&self, name: &'static str, delta: u64) {
+        self.counter_add_key(Key { name, label: None }, delta);
+    }
+
+    /// Adds `delta` to the `name{label_key="label_value"}` member of a
+    /// labelled counter family. Members register on first use, so a
+    /// family's members keep their first-seen order; label values must be
+    /// static, as for [`Recorder::observe_labeled`].
+    pub fn counter_add_labeled(
+        &self,
+        name: &'static str,
+        label_key: &'static str,
+        label_value: &'static str,
+        delta: u64,
+    ) {
+        self.counter_add_key(
+            Key {
+                name,
+                label: Some((label_key, label_value)),
+            },
+            delta,
+        );
+    }
+
+    fn counter_add_key(&self, key: Key, delta: u64) {
         let Some(reg) = &self.inner else { return };
-        let key = Key { name, label: None };
         let mut st = reg.lock();
         match st.counters.iter_mut().find(|(k, _)| *k == key) {
             Some((_, v)) => *v += delta,
             None => st.counters.push((key, delta)),
         }
+    }
+
+    /// The value of the unlabelled counter `name`, if registered (`None`
+    /// on a disabled recorder): one value under one lock, without copying
+    /// the registry as [`Recorder::snapshot`] does.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        let reg = self.inner.as_ref()?;
+        let st = reg.lock();
+        st.counters
+            .iter()
+            .find(|(k, _)| k.name == name && k.label.is_none())
+            .map(|(_, v)| *v)
     }
 
     /// Sets the gauge `name` to `value` (last write wins).
@@ -443,34 +480,34 @@ impl Snapshot {
             .map(|g| g.value)
     }
 
-    /// Renders the Prometheus text exposition: `# TYPE` comments grouped by
-    /// metric name in first-registration order, one sample per line,
-    /// counters emitted as exact integers. With `include_spans`, the span
+    /// Renders the Prometheus text exposition: one `# TYPE` comment per
+    /// metric name in first-registration order, with every labelled member
+    /// of that name beneath it, one sample per line, counters emitted as
+    /// exact integers. With `include_spans`, the span
     /// tree is appended as `# span` comment lines (comments keep the file
     /// valid for any Prometheus text parser).
     pub fn exposition(&self, include_spans: bool) -> String {
         let mut out = String::new();
-        for c in &self.counters {
-            write_type_once(&mut out, c.name, "counter");
-            out.push_str(c.name);
-            write_label(&mut out, c.label);
-            let _ = writeln!(out, " {}", c.value);
-        }
-        for g in &self.gauges {
-            write_type_once(&mut out, g.name, "gauge");
-            out.push_str(g.name);
-            write_label(&mut out, g.label);
-            let _ = writeln!(out, " {}", g.value);
-        }
-        // Histograms with the same name (different labels) must sit under
-        // one TYPE header; group by first-seen name.
-        let mut names: Vec<&'static str> = Vec::new();
-        for h in &self.histograms {
-            if !names.contains(&h.name) {
-                names.push(h.name);
+        // Members of one family (same name, different labels) must sit
+        // under one TYPE header, wherever they were registered: every kind
+        // is grouped by first-seen name.
+        for name in first_seen(self.counters.iter().map(|c| c.name)) {
+            let _ = writeln!(out, "# TYPE {name} counter");
+            for c in self.counters.iter().filter(|c| c.name == name) {
+                out.push_str(name);
+                write_label(&mut out, c.label);
+                let _ = writeln!(out, " {}", c.value);
             }
         }
-        for name in names {
+        for name in first_seen(self.gauges.iter().map(|g| g.name)) {
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            for g in self.gauges.iter().filter(|g| g.name == name) {
+                out.push_str(name);
+                write_label(&mut out, g.label);
+                let _ = writeln!(out, " {}", g.value);
+            }
+        }
+        for name in first_seen(self.histograms.iter().map(|h| h.name)) {
             let _ = writeln!(out, "# TYPE {name} histogram");
             for h in self.histograms.iter().filter(|h| h.name == name) {
                 let mut cumulative = 0u64;
@@ -531,13 +568,15 @@ impl Snapshot {
     }
 }
 
-/// Writes a `# TYPE` line unless the previous emitted line already declared
-/// this name (consecutive same-name metrics share one header).
-fn write_type_once(out: &mut String, name: &str, kind: &str) {
-    let header = format!("# TYPE {name} {kind}\n");
-    if !out.ends_with(&header) {
-        out.push_str(&header);
+/// The distinct `names`, in first-seen order.
+fn first_seen(names: impl Iterator<Item = &'static str>) -> Vec<&'static str> {
+    let mut seen: Vec<&'static str> = Vec::new();
+    for name in names {
+        if !seen.contains(&name) {
+            seen.push(name);
+        }
     }
+    seen
 }
 
 #[cfg(test)]
@@ -585,6 +624,74 @@ mod tests {
         assert_eq!(snap.gauge("persistence_degraded"), Some(1.0));
         assert_eq!(snap.counter("nope"), None);
         assert_eq!(snap.gauge("nope"), None);
+    }
+
+    #[test]
+    fn labelled_counters_accumulate_per_label() {
+        let rec = Recorder::enabled();
+        rec.counter_add_labeled("requests_total", "cmd", "ping", 1);
+        rec.counter_add_labeled("requests_total", "cmd", "stats", 2);
+        rec.counter_add_labeled("requests_total", "cmd", "ping", 3);
+        let snap = rec.snapshot();
+        let members: Vec<(Option<(&str, &str)>, u64)> =
+            snap.counters.iter().map(|c| (c.label, c.value)).collect();
+        assert_eq!(
+            members,
+            vec![(Some(("cmd", "ping")), 4), (Some(("cmd", "stats")), 2)],
+            "one member per label, in first-seen order"
+        );
+    }
+
+    #[test]
+    fn unlabelled_lookups_skip_family_members() {
+        let rec = Recorder::enabled();
+        rec.counter_add_labeled("requests_total", "cmd", "ping", 5);
+        assert_eq!(rec.snapshot().counter("requests_total"), None);
+        assert_eq!(rec.counter("requests_total"), None);
+        rec.counter_add("requests_total", 2);
+        assert_eq!(rec.snapshot().counter("requests_total"), Some(2));
+        assert_eq!(rec.counter("requests_total"), Some(2));
+        assert_eq!(Recorder::disabled().counter("requests_total"), None);
+    }
+
+    #[test]
+    fn family_registered_between_other_counters_has_one_type_header() {
+        let rec = Recorder::enabled();
+        rec.counter_add_labeled("requests_total", "cmd", "ping", 1);
+        rec.counter_add("errors_total", 0);
+        rec.counter_add_labeled("requests_total", "cmd", "stats", 2);
+        rec.gauge_set("depth", 1.0);
+        rec.counter_add("shed_total", 3);
+        rec.gauge_set("depth_max", 2.0);
+        let text = rec.exposition(false);
+        let expected = "\
+# TYPE requests_total counter
+requests_total{cmd=\"ping\"} 1
+requests_total{cmd=\"stats\"} 2
+# TYPE errors_total counter
+errors_total 0
+# TYPE shed_total counter
+shed_total 3
+# TYPE depth gauge
+depth 1
+# TYPE depth_max gauge
+depth_max 2
+";
+        assert_eq!(text, expected);
+    }
+
+    #[test]
+    fn labelled_counters_exact_past_2_pow_53() {
+        let rec = Recorder::enabled();
+        let big = (1u64 << 53) + 1;
+        rec.counter_add_labeled("requests_total", "cmd", "ping", big);
+        rec.counter_add_labeled("requests_total", "cmd", "ping", 1);
+        assert_eq!(rec.snapshot().counters[0].value, big + 1);
+        let text = rec.exposition(false);
+        assert!(
+            text.contains(&format!("requests_total{{cmd=\"ping\"}} {}", big + 1)),
+            "u64 counters must print exactly: {text}"
+        );
     }
 
     #[test]

@@ -41,6 +41,7 @@ fn disabled_recorder_never_allocates() {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..10_000u64 {
         rec.counter_add("solver_iterations_total", i);
+        rec.counter_add_labeled("daemon_requests_total", "cmd", "ping", i);
         rec.gauge_set("daemon_queue_depth", i as f64);
         rec.observe("daemon_resolve_latency_ms", i as f64);
         rec.observe_labeled("daemon_command_latency_ms", "cmd", "ping", i as f64);

@@ -19,13 +19,16 @@
 //! instead of back-pressuring the peer forever.
 
 use crate::json::{obj, Json};
-use crate::metrics::Metrics;
 use crate::net::{conn, Job, Registry, Server};
 use crate::persist::{OpenError, PersistConfig, RecoveryReport, StateStore};
 use crate::protocol::{Incoming, Request};
-use crate::read_path::{ReadHandle, ReadSnapshot, SnapshotCell};
+use crate::read_path::{
+    count_request, stats_json, ReadHandle, ReadSnapshot, SnapshotCell, DEGRADED_SOLVES, ERRORS,
+    LAST_GOOD_FALLBACKS, PAIRED_WARM_ITERATIONS, READS_LOCKFREE, RESOLVE_LATENCY,
+    SHADOW_COLD_ITERATIONS, SHADOW_COLD_LATENCY, SHED, WARM_ITERATIONS,
+};
 use crate::sli::{Kind, RateWindows};
-use crate::state::{ServiceState, SolveReport};
+use crate::state::{ColdComparison, ServiceState, SolveReport};
 use crate::ServiceError;
 use nws_obs::{Recorder, Snapshot};
 use std::collections::{HashMap, VecDeque};
@@ -55,7 +58,7 @@ pub struct DaemonOptions {
     /// meant for benchmarking and acceptance runs.
     pub shadow_cold: bool,
     /// Write a `BENCH_recover.json`-style per-event latency report here when
-    /// the daemon exits.
+    /// the daemon exits. Only then does the daemon keep a per-event log.
     pub bench_out: Option<String>,
     /// Write a Prometheus-style text exposition of the observability
     /// snapshot here when the daemon exits (`--metrics-out`).
@@ -84,13 +87,7 @@ pub struct DaemonOptions {
 struct EventRecord {
     seq: u64,
     cmd: &'static str,
-    warm: bool,
-    iterations: usize,
-    wall_ms: f64,
-    cold_iterations: Option<usize>,
-    cold_ms: Option<f64>,
-    objective: f64,
-    degraded: bool,
+    report: SolveReport,
 }
 
 /// Demand updates buffered inside the coalescing window, awaiting one
@@ -168,15 +165,14 @@ pub struct DaemonSummary {
 pub struct Daemon {
     state: ServiceState,
     opts: DaemonOptions,
-    metrics: Metrics,
+    /// The one counter registry: `stats`, `health`, `metrics`, the run
+    /// summary and the exposition all read it.
     recorder: Recorder,
     queue_depth: Arc<AtomicU64>,
-    /// Requests shed by connection readers: the one shed count behind
-    /// `stats`, `health` and the summary.
-    shed_count: Arc<AtomicU64>,
     /// EWMA of per-request handling latency, stored as f64 bits so
     /// connection readers can read it lock-free for `retry_after_ms` hints.
     ewma_ms_bits: Arc<AtomicU64>,
+    /// Per-event log behind the `--bench-out` report; empty without one.
     events: Vec<EventRecord>,
     seq: u64,
     store: Option<StateStore>,
@@ -194,8 +190,6 @@ pub struct Daemon {
     sli: Arc<RateWindows>,
     /// The atomically-swapped read snapshot (the lock-free read path).
     cell: Arc<SnapshotCell>,
-    /// Reads answered on connection threads without enqueueing.
-    reads_lockfree: Arc<AtomicU64>,
     /// Commit epoch: bumped on every committed state mutation (startup
     /// solve / recovery = 1). Tags every published snapshot and every
     /// mutating acknowledgement, so readers can pin a consistent view.
@@ -210,9 +204,10 @@ impl Daemon {
     ///
     /// The daemon always runs with an enabled [`Recorder`]: the same sink
     /// receives solver phase spans and evaluation counters (via the state's
-    /// re-solves), per-command latency histograms, and the queue-depth
-    /// gauge. Answering `metrics` or writing `--metrics-out` is then a
-    /// snapshot, never a restart.
+    /// re-solves), per-command latency histograms, the queue-depth gauge,
+    /// and every count `stats`, `health` and the run summary report.
+    /// Answering `metrics` or writing `--metrics-out` is then a snapshot,
+    /// never a restart.
     pub fn new(mut state: ServiceState, opts: DaemonOptions) -> Self {
         let recorder = Recorder::enabled();
         state.set_recorder(recorder.clone());
@@ -228,17 +223,15 @@ impl Daemon {
             serving_uncertified: false,
             degraded_solves: 0,
             last_good_fallbacks: 0,
-            stats: Metrics::default().to_json(),
+            stats: stats_json(&recorder.snapshot()),
             wal_stats: Json::Null,
             queue_capacity: 0,
         };
         Daemon {
             state,
             opts,
-            metrics: Metrics::default(),
             recorder,
             queue_depth: Arc::new(AtomicU64::new(0)),
-            shed_count: Arc::new(AtomicU64::new(0)),
             ewma_ms_bits: Arc::new(AtomicU64::new(0)),
             events: Vec::new(),
             seq: 0,
@@ -249,15 +242,9 @@ impl Daemon {
             capacity: 0,
             sli: Arc::new(RateWindows::new()),
             cell: Arc::new(SnapshotCell::new(placeholder)),
-            reads_lockfree: Arc::new(AtomicU64::new(0)),
             commit_epoch: 0,
             dedup: DedupWindow::default(),
         }
-    }
-
-    /// A point-in-time copy of the daemon's observability instruments.
-    pub fn observability(&self) -> Snapshot {
-        self.recorder.snapshot()
     }
 
     /// Boot sequence of every transport: queue capacity, solve deadline,
@@ -280,26 +267,34 @@ impl Daemon {
             self.state
                 .set_solve_deadline(Some(Duration::from_millis(ms)));
         }
-        // Pre-register the degraded-serving instruments: a healthy run
-        // must expose explicit zeros (absence would be ambiguous in the
-        // exposition and break rate() queries on first increment).
-        self.recorder.counter_add("degraded_solves", 0);
-        self.recorder.counter_add("daemon_overload_shed_total", 0);
-        self.recorder.counter_add("daemon_request_panics", 0);
-        self.recorder
-            .counter_add("daemon_reads_served_lockfree_total", 0);
-        self.recorder.counter_add("daemon_jobs_enqueued_total", 0);
-        self.recorder
-            .counter_add("daemon_coalesce_flushes_total", 0);
-        self.recorder
-            .counter_add("daemon_coalesced_updates_total", 0);
-        self.recorder
-            .counter_add("daemon_slow_client_evictions_total", 0);
-        self.recorder
-            .counter_add("daemon_conn_idle_timeouts_total", 0);
-        self.recorder.counter_add("daemon_conn_io_errors_total", 0);
-        self.recorder.counter_add("daemon_line_too_long_total", 0);
-        self.recorder.counter_add("daemon_dedup_hits_total", 0);
+        // Pre-register the degraded-serving instruments and every
+        // unlabelled counter `stats` and `health` read: a healthy run must
+        // expose explicit zeros (absence would be ambiguous in the
+        // exposition and break rate() queries on first increment). The
+        // members of `daemon_requests_total{cmd}` register on first use,
+        // which keeps `per_command` in first-seen order.
+        for name in [
+            DEGRADED_SOLVES,
+            SHED,
+            "daemon_request_panics",
+            READS_LOCKFREE,
+            "daemon_jobs_enqueued_total",
+            "daemon_coalesce_flushes_total",
+            "daemon_coalesced_updates_total",
+            "daemon_slow_client_evictions_total",
+            "daemon_conn_idle_timeouts_total",
+            "daemon_conn_io_errors_total",
+            "daemon_line_too_long_total",
+            "daemon_dedup_hits_total",
+            LAST_GOOD_FALLBACKS,
+            "daemon_solve_escalations",
+            ERRORS,
+            WARM_ITERATIONS,
+            PAIRED_WARM_ITERATIONS,
+            SHADOW_COLD_ITERATIONS,
+        ] {
+            self.recorder.counter_add(name, 0);
+        }
         self.recorder.gauge_set("persistence_degraded", 0.0);
 
         // Durable store first: recovery may restore an installed
@@ -382,13 +377,15 @@ impl Daemon {
             std::fs::write(&path, text)
                 .map_err(|e| ServiceError::State(format!("cannot write '{path}': {e}")))?;
         }
-        let reads_lockfree = self.reads_lockfree.load(Ordering::Relaxed);
+        // The summary reads the rendering `stats` answers with.
+        let stats = stats_json(&self.recorder.snapshot());
+        let count = |key| stats.get(key).and_then(Json::as_u64).unwrap_or(0);
         Ok(DaemonSummary {
-            requests: self.metrics.requests + reads_lockfree,
-            resolves: self.metrics.resolves,
-            shed: self.shed_count.load(Ordering::Relaxed),
+            requests: count("requests"),
+            resolves: count("resolves"),
+            shed: count("shed"),
             clean_shutdown,
-            reads_lockfree,
+            reads_lockfree: count("reads_lockfree"),
             connections,
         })
     }
@@ -396,7 +393,8 @@ impl Daemon {
     /// Publishes the current committed state into the snapshot cell, from
     /// which the read-only commands are answered. Called after every
     /// handled request: the epoch only moves on commits, so
-    /// republications between commits just refresh the counter payloads.
+    /// republications between commits just refresh the counter payloads,
+    /// rendered from the registry.
     fn publish_snapshot(&mut self) {
         let monitors = match self.state.active_rates() {
             Ok(rates) => Json::Arr(
@@ -412,6 +410,7 @@ impl Daemon {
             ),
             Err(_) => Json::Arr(Vec::new()),
         };
+        let counts = self.recorder.snapshot();
         let snap = ReadSnapshot {
             epoch: self.commit_epoch,
             theta: self.state.theta(),
@@ -422,9 +421,9 @@ impl Daemon {
             persistence_degraded: self.persistence_degraded,
             persistence_error: self.persistence_error.clone(),
             serving_uncertified: self.state.installed().is_some_and(|i| !i.kkt),
-            degraded_solves: self.metrics.degraded_solves,
-            last_good_fallbacks: self.metrics.last_good_fallbacks,
-            stats: self.metrics.to_json(),
+            degraded_solves: counts.counter(DEGRADED_SOLVES).unwrap_or(0),
+            last_good_fallbacks: counts.counter(LAST_GOOD_FALLBACKS).unwrap_or(0),
+            stats: stats_json(&counts),
             wal_stats: self
                 .store
                 .as_ref()
@@ -442,9 +441,7 @@ impl Daemon {
         ReadHandle {
             cell: Arc::clone(&self.cell),
             queue_depth: Arc::clone(&self.queue_depth),
-            shed_count: Arc::clone(&self.shed_count),
             ewma_ms_bits: Arc::clone(&self.ewma_ms_bits),
-            reads_lockfree: Arc::clone(&self.reads_lockfree),
             capacity: self.capacity,
             recorder: self.recorder.clone(),
             sli: Arc::clone(&self.sli),
@@ -624,7 +621,7 @@ impl Daemon {
                     // counted, published, then answered by the lock-free
                     // path's code, so its bytes match a lock-free answer.
                     Ok(inc) if inc.req.is_read_only() => {
-                        self.metrics.record_request(cmd);
+                        count_request(&self.recorder, cmd);
                         self.publish_snapshot();
                         let response = read.answer(&inc.req);
                         self.record_latency(cmd, t0);
@@ -632,17 +629,16 @@ impl Daemon {
                     }
                     item => {
                         self.seq += 1;
-                        let pair = self.isolated(|d| d.handle(item)).unwrap_or_else(|msg| {
-                            self.metrics.record_error();
-                            (self.error_response(None, &msg), false)
-                        });
+                        let pair = self
+                            .isolated(|d| d.handle(item))
+                            .unwrap_or_else(|msg| (self.error_response(None, &msg), false));
                         self.record_latency(cmd, t0);
                         self.publish_snapshot();
                         pair
                     }
                 };
                 if !response_ok(&response) {
-                    self.sli.record(Kind::Error);
+                    self.count_error();
                 }
                 let _ = reply.send(response);
                 if is_shutdown && !clean_shutdown {
@@ -666,7 +662,7 @@ impl Daemon {
         window: Duration,
     ) {
         // Counted on entry, like every other accepted request.
-        self.metrics.record_request(inc.req.name());
+        count_request(&self.recorder, inc.req.name());
         // Exactly-once: a duplicate of an already-committed mutation
         // replays its remembered ack instead of re-entering the batch.
         if let Some(ack) = self.replay_duplicate(&inc) {
@@ -683,8 +679,7 @@ impl Daemon {
             .find(|(od, _)| !self.state.ods().iter().any(|o| o.name == *od));
         if let Some((od, _)) = unknown {
             self.seq += 1;
-            self.metrics.record_error();
-            self.sli.record(Kind::Error);
+            self.count_error();
             let msg = format!("unknown OD '{od}'");
             let response = with_request_id(
                 self.error_response(Some(&inc.req), &msg),
@@ -768,8 +763,7 @@ impl Daemon {
                 // Errors never enter the dedup window — the client may
                 // retry them for real.
                 for (inc, reply) in replies {
-                    self.metrics.record_error();
-                    self.sli.record(Kind::Error);
+                    self.count_error();
                     let response = with_request_id(
                         self.error_response(Some(&inc.req), &msg),
                         inc.request_id.as_deref(),
@@ -859,27 +853,43 @@ impl Daemon {
         }
     }
 
-    /// Folds one re-solve into metrics, the event log, and the
-    /// degraded-serving counters.
+    /// Counts one error response, in the registry and the SLI windows.
+    fn count_error(&self) {
+        self.recorder.counter_add(ERRORS, 1);
+        self.sli.record(Kind::Error);
+    }
+
+    /// Records one served re-solve: the one place the registry counts it
+    /// (recovery replays never get here), plus the per-event log when
+    /// `--bench-out` asks for a report.
     fn note_resolve(&mut self, cmd: &'static str, report: &SolveReport) {
+        let rec = &self.recorder;
+        let mode = if report.warm_started { "warm" } else { "cold" };
+        rec.observe_labeled(RESOLVE_LATENCY, "mode", mode, report.wall_ms);
+        if report.warm_started {
+            rec.counter_add(WARM_ITERATIONS, report.iterations as u64);
+        }
+        if let Some(cold) = &report.cold {
+            rec.observe(SHADOW_COLD_LATENCY, cold.wall_ms);
+            rec.counter_add(SHADOW_COLD_ITERATIONS, cold.iterations as u64);
+            if report.warm_started {
+                rec.counter_add(PAIRED_WARM_ITERATIONS, report.iterations as u64);
+            }
+        }
         if report.degraded {
-            self.recorder.counter_add("degraded_solves", 1);
+            rec.counter_add(DEGRADED_SOLVES, 1);
             self.sli.record(Kind::DegradedSolve);
         }
         if report.fallback == Some("last_good") {
-            self.recorder.counter_add("daemon_last_good_fallbacks", 1);
+            rec.counter_add(LAST_GOOD_FALLBACKS, 1);
         }
-        self.metrics.record_resolve(report);
+        if self.opts.bench_out.is_none() {
+            return;
+        }
         self.events.push(EventRecord {
             seq: self.seq,
             cmd,
-            warm: report.warm_started,
-            iterations: report.iterations,
-            wall_ms: report.wall_ms,
-            cold_iterations: report.cold.as_ref().map(|c| c.iterations),
-            cold_ms: report.cold.as_ref().map(|c| c.wall_ms),
-            objective: report.objective,
-            degraded: report.degraded,
+            report: report.clone(),
         });
     }
 
@@ -894,12 +904,11 @@ impl Daemon {
         let inc = match item {
             Ok(inc) => inc,
             Err(msg) => {
-                self.metrics.record_request("invalid");
-                self.metrics.record_error();
+                count_request(&self.recorder, "invalid");
                 return (self.error_response(None, &msg), false);
             }
         };
-        self.metrics.record_request(inc.req.name());
+        count_request(&self.recorder, inc.req.name());
         if let Some(ack) = self.replay_duplicate(&inc) {
             return (ack, false);
         }
@@ -992,9 +1001,13 @@ impl Daemon {
                 ]
             }),
             Request::Shutdown => {
+                let resolves = stats_json(&self.recorder.snapshot())
+                    .get("resolves")
+                    .and_then(Json::as_u64)
+                    .unwrap_or(0);
                 let payload = vec![
                     ("bye", Json::Bool(true)),
-                    ("resolves", Json::Num(self.metrics.resolves as f64)),
+                    ("resolves", Json::Num(resolves as f64)),
                 ];
                 return (self.ok_response(&req, payload), true);
             }
@@ -1002,10 +1015,7 @@ impl Daemon {
         };
         match payload {
             Ok(payload) => (self.ok_response(&req, payload), false),
-            Err(e) => {
-                self.metrics.record_error();
-                (self.error_response(Some(&req), &e.to_string()), false)
-            }
+            Err(e) => (self.error_response(Some(&req), &e.to_string()), false),
         }
     }
 
@@ -1038,30 +1048,36 @@ impl Daemon {
             self.events
                 .iter()
                 .map(|e| {
+                    let r = &e.report;
+                    let cold = |f: fn(&ColdComparison) -> f64| {
+                        r.cold.as_ref().map_or(Json::Null, |c| Json::Num(f(c)))
+                    };
                     obj(vec![
                         ("seq", Json::Num(e.seq as f64)),
                         ("cmd", Json::Str(e.cmd.into())),
-                        ("warm", Json::Bool(e.warm)),
-                        ("iterations", Json::Num(e.iterations as f64)),
-                        ("wall_ms", Json::Num(e.wall_ms)),
-                        (
-                            "cold_iterations",
-                            e.cold_iterations
-                                .map_or(Json::Null, |n| Json::Num(n as f64)),
-                        ),
-                        ("cold_ms", e.cold_ms.map_or(Json::Null, Json::Num)),
-                        ("objective", Json::Num(e.objective)),
-                        ("degraded", Json::Bool(e.degraded)),
+                        ("warm", Json::Bool(r.warm_started)),
+                        ("iterations", Json::Num(r.iterations as f64)),
+                        ("wall_ms", Json::Num(r.wall_ms)),
+                        ("cold_iterations", cold(|c| c.iterations as f64)),
+                        ("cold_ms", cold(|c| c.wall_ms)),
+                        ("objective", Json::Num(r.objective)),
+                        ("degraded", Json::Bool(r.degraded)),
                     ])
                 })
                 .collect(),
         );
-        let warm_events: Vec<&EventRecord> = self.events.iter().filter(|e| e.warm).collect();
-        let warm_ms: f64 = warm_events.iter().map(|e| e.wall_ms).sum();
-        let warm_iters: usize = warm_events.iter().map(|e| e.iterations).sum();
-        let cold_ms: f64 = warm_events.iter().filter_map(|e| e.cold_ms).sum();
-        let cold_iters: usize = warm_events.iter().filter_map(|e| e.cold_iterations).sum();
-        let solve_ms: Vec<f64> = self.events.iter().map(|e| e.wall_ms).collect();
+        let warm: Vec<&SolveReport> = self
+            .events
+            .iter()
+            .map(|e| &e.report)
+            .filter(|r| r.warm_started)
+            .collect();
+        let warm_ms: f64 = warm.iter().map(|r| r.wall_ms).sum();
+        let warm_iters: usize = warm.iter().map(|r| r.iterations).sum();
+        let shadows = || warm.iter().filter_map(|r| r.cold.as_ref());
+        let cold_ms: f64 = shadows().map(|c| c.wall_ms).sum();
+        let cold_iters: usize = shadows().map(|c| c.iterations).sum();
+        let solve_ms: Vec<f64> = self.events.iter().map(|e| e.report.wall_ms).collect();
         let report = obj(vec![
             ("bench", Json::Str("serve".into())),
             (
@@ -1074,7 +1090,7 @@ impl Daemon {
             (
                 "totals",
                 obj(vec![
-                    ("warm_resolves", Json::Num(warm_events.len() as f64)),
+                    ("warm_resolves", Json::Num(warm.len() as f64)),
                     ("warm_iterations", Json::Num(warm_iters as f64)),
                     ("warm_ms", Json::Num(warm_ms)),
                     ("cold_iterations", Json::Num(cold_iters as f64)),
@@ -1092,7 +1108,10 @@ impl Daemon {
                         "solve_ms_p99",
                         percentile(&solve_ms, 0.99).map_or(Json::Null, Json::Num),
                     ),
-                    ("degraded_solves", Json::UInt(self.metrics.degraded_solves)),
+                    (
+                        "degraded_solves",
+                        Json::UInt(self.recorder.counter(DEGRADED_SOLVES).unwrap_or(0)),
+                    ),
                 ]),
             ),
         ]);
@@ -1703,6 +1722,229 @@ mod tests {
             let (_, value) = line.rsplit_once(' ').expect("sample line");
             assert!(value.parse::<f64>().is_ok(), "bad sample line: {line}");
         }
+    }
+
+    /// A daemon before startup: its registry holds only what a test puts
+    /// there.
+    fn bare_daemon(opts: DaemonOptions) -> Daemon {
+        let state = ServiceState::from_task(&janet_task(), PlacementConfig::default());
+        Daemon::new(state, opts)
+    }
+
+    fn report(warm: bool, iters: usize, cold_iters: Option<usize>) -> SolveReport {
+        SolveReport {
+            warm_started: warm,
+            iterations: iters,
+            constraint_releases: 0,
+            kkt: true,
+            objective: 1.0,
+            objective_delta: None,
+            lambda: 0.1,
+            wall_ms: 2.0,
+            active_monitors: 3,
+            cold: cold_iters.map(|n| ColdComparison {
+                iterations: n,
+                wall_ms: 5.0,
+                objective: 1.0,
+            }),
+            degraded: false,
+            fallback: None,
+        }
+    }
+
+    /// Publishes, then answers `stats` the way a reader would.
+    fn published_stats(d: &mut Daemon) -> Json {
+        d.publish_snapshot();
+        let answer = d.read_handle().answer(&Request::Stats);
+        answer.get("stats").unwrap().clone()
+    }
+
+    #[test]
+    fn degraded_and_fallback_counters() {
+        let mut d = bare_daemon(DaemonOptions::default());
+        let mut r = report(true, 10, None);
+        r.degraded = true;
+        d.note_resolve("set_theta", &r);
+        r.fallback = Some("last_good");
+        d.note_resolve("set_theta", &r);
+        let encoded = published_stats(&mut d).encode();
+        assert!(encoded.contains("\"degraded_solves\":2"), "{encoded}");
+        assert!(encoded.contains("\"last_good_fallbacks\":1"), "{encoded}");
+        let health = d.read_handle().answer(&Request::Health);
+        assert_eq!(health.get("degraded_solves").unwrap().as_u64(), Some(2));
+        assert_eq!(health.get("last_good_fallbacks").unwrap().as_u64(), Some(1));
+    }
+
+    #[test]
+    fn counters_accumulate() {
+        let mut d = bare_daemon(DaemonOptions::default());
+        for cmd in ["ping", "set_theta", "set_theta", "invalid"] {
+            count_request(&d.recorder, cmd);
+        }
+        d.count_error();
+        d.note_resolve("hello", &report(false, 50, None));
+        d.note_resolve("set_theta", &report(true, 10, Some(40)));
+        d.note_resolve("set_theta", &report(true, 20, Some(60)));
+        let stats = published_stats(&mut d);
+        let count = |key| stats.get(key).unwrap().as_u64().unwrap();
+        assert_eq!(count("requests"), 4);
+        assert_eq!(count("errors"), 1);
+        assert_eq!(count("resolves"), 3);
+        assert_eq!(count("warm_resolves"), 2);
+        assert_eq!(count("warm_iterations"), 30);
+        assert_eq!(count("shadow_cold_iterations"), 100);
+        let Some(Json::Obj(per_command)) = stats.get("per_command") else {
+            panic!("per_command is an object: {}", stats.encode());
+        };
+        let per_command: Vec<(&str, u64)> = per_command
+            .iter()
+            .map(|(k, n)| (k.as_str(), n.as_u64().unwrap()))
+            .collect();
+        assert_eq!(
+            per_command,
+            vec![("ping", 1), ("set_theta", 2), ("invalid", 1)]
+        );
+        // Savings: cold mean 50, warm mean 15 -> 35 saved per re-solve.
+        let saved = stats
+            .get("mean_iterations_saved")
+            .unwrap()
+            .as_f64()
+            .unwrap();
+        assert!((saved - 35.0).abs() < 1e-9, "saved {saved}");
+    }
+
+    #[test]
+    fn savings_compare_paired_populations_only() {
+        // Regression: warm re-solves WITHOUT a shadow pair must not skew
+        // the savings. Here two cheap unpaired warm solves (5 iterations
+        // each) ride alongside one shadow pair (warm 10 vs cold 40).
+        let mut d = bare_daemon(DaemonOptions::default());
+        d.note_resolve("set_theta", &report(true, 5, None));
+        d.note_resolve("set_theta", &report(true, 5, None));
+        d.note_resolve("set_theta", &report(true, 10, Some(40)));
+        let stats = published_stats(&mut d);
+        let count = |key| stats.get(key).unwrap().as_u64().unwrap();
+        assert_eq!(count("warm_resolves"), 3);
+        assert_eq!(count("warm_iterations"), 20);
+        assert_eq!(count("paired_warm_iterations"), 10);
+        // The pair saved 30; the old mismatched-population formula said
+        // 40 − 20/3 ≈ 33.3.
+        let saved = stats
+            .get("mean_iterations_saved")
+            .unwrap()
+            .as_f64()
+            .unwrap();
+        assert!((saved - 30.0).abs() < 1e-12, "saved {saved}");
+    }
+
+    #[test]
+    fn counters_encode_exactly_past_2_pow_53() {
+        let big = (1u64 << 53) + 1;
+        let mut d = bare_daemon(DaemonOptions::default());
+        d.recorder
+            .counter_add_labeled(crate::read_path::REQUESTS, "cmd", "ping", big);
+        let encoded = published_stats(&mut d).encode();
+        assert!(
+            encoded.contains(&format!("\"requests\":{big}")),
+            "u64 counters must not round through f64: {encoded}"
+        );
+        let reparsed = parse(&encoded).unwrap();
+        assert_eq!(reparsed.get("requests").unwrap().as_u64(), Some(big));
+        let ping = reparsed.get("per_command").unwrap().get("ping").unwrap();
+        assert_eq!(ping.as_u64(), Some(big));
+    }
+
+    #[test]
+    fn savings_unavailable_without_shadow() {
+        let mut d = bare_daemon(DaemonOptions::default());
+        d.note_resolve("set_theta", &report(true, 10, None));
+        assert!(published_stats(&mut d)
+            .encode()
+            .contains("\"mean_iterations_saved\":null"));
+    }
+
+    #[test]
+    fn json_shape() {
+        // The schema `stats` had as a struct: these keys in this order,
+        // counts as exact integers.
+        let mut d = bare_daemon(DaemonOptions::default());
+        count_request(&d.recorder, "ping");
+        d.note_resolve("set_theta", &report(true, 10, Some(40)));
+        let stats = published_stats(&mut d);
+        let Json::Obj(pairs) = &stats else {
+            panic!("stats is an object: {}", stats.encode());
+        };
+        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            vec![
+                "requests",
+                "errors",
+                "resolves",
+                "warm_resolves",
+                "warm_iterations",
+                "paired_warm_iterations",
+                "warm_ms",
+                "shadow_resolves",
+                "shadow_cold_iterations",
+                "shadow_cold_ms",
+                "mean_iterations_saved",
+                "degraded_solves",
+                "last_good_fallbacks",
+                "per_command",
+                "shed",
+                "reads_lockfree",
+            ]
+        );
+        for (key, value) in pairs {
+            match (key.as_str(), value) {
+                ("warm_ms" | "shadow_cold_ms" | "mean_iterations_saved", Json::Num(_)) => {}
+                ("per_command", Json::Obj(members)) => {
+                    assert!(members.iter().all(|(_, n)| matches!(n, Json::UInt(_))));
+                }
+                (_, Json::UInt(_)) => {}
+                _ => panic!("{key} has the wrong type: {}", value.encode()),
+            }
+        }
+        assert_eq!(stats.get("warm_ms").unwrap().as_f64(), Some(2.0));
+        assert_eq!(stats.get("shadow_cold_ms").unwrap().as_f64(), Some(5.0));
+        assert_eq!(
+            stats
+                .get("per_command")
+                .unwrap()
+                .get("ping")
+                .unwrap()
+                .as_u64(),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn event_log_is_kept_only_for_bench_out() {
+        const N: usize = 3;
+        let script: String = (0..N)
+            .map(|i| {
+                format!(
+                    "{{\"cmd\":\"set_theta\",\"theta\":{}}}\n",
+                    80_000 + 1_000 * i
+                )
+            })
+            .collect();
+        let mut d = bare_daemon(DaemonOptions::default());
+        d.run(Cursor::new(script.clone()), &mut Vec::new()).unwrap();
+        assert!(d.events.is_empty(), "no report asked for, no log kept");
+        let dir = std::env::temp_dir().join("nws_service_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("event_log_{}.json", std::process::id()));
+        let mut d = bare_daemon(DaemonOptions {
+            bench_out: Some(path.to_string_lossy().into_owned()),
+            ..DaemonOptions::default()
+        });
+        d.run(Cursor::new(script), &mut Vec::new()).unwrap();
+        assert_eq!(d.events.len(), N + 1, "startup solve + N mutations");
+        let report = parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(report.get("events").unwrap().as_arr().unwrap().len(), N + 1);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

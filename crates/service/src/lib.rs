@@ -16,23 +16,25 @@
 //! - [`protocol`] — the request grammar ([`protocol::parse_request`]).
 //! - [`state`] — mutable network state with transactional events,
 //!   warm-started re-solves, and snapshot/rollback.
-//! - [`metrics`] — per-daemon counters behind the `stats` command.
 //! - [`persist`] — durable state: journals state-changing commands into an
 //!   `nws-store` write-ahead log, snapshots periodically and on exit, and
 //!   recovers (snapshot + deterministic replay) on boot.
 //! - [`daemon`] — the one event loop behind every transport
 //!   ([`daemon::Daemon::run`] serves a stdin/stdout pair as one connection,
 //!   [`daemon::Daemon::serve`] the listeners' connections); also runs an
-//!   always-on `nws-obs` recorder (per-command latency histograms, warm/cold
-//!   re-solve latency, queue depth, solver spans) behind the `metrics`
-//!   command and the `--metrics-out` exposition.
+//!   always-on `nws-obs` recorder, the daemon's one counter registry
+//!   (request, error and re-solve counts, per-command and warm/cold
+//!   re-solve latency, queue depth, solver spans) behind `stats`,
+//!   `health`, `metrics`, the run summary and the `--metrics-out`
+//!   exposition.
 //! - [`net`] — connections: TCP/Unix listeners, connection limits, idle
 //!   timeouts, and the per-connection reader/writer threads every
 //!   transport (stdio included) runs.
 //! - [`read_path`] — the read path: an atomically-swapped immutable
 //!   [`read_path::ReadSnapshot`] from which connection threads answer
 //!   read-only commands lock-free, and the event loop answers reads
-//!   queued behind their own connection's request, with the same code.
+//!   queued behind their own connection's request, with the same code;
+//!   also renders `stats` from the registry.
 //! - [`sli`] — RFC-0019-style SLI rate windows (1s/10s/60s request, shed,
 //!   and degraded-solve rates with OK/WARN/CRIT classification) behind the
 //!   extended `health` payload.
@@ -46,7 +48,6 @@
 
 pub mod daemon;
 pub mod json;
-pub mod metrics;
 pub mod net;
 pub mod persist;
 pub mod protocol;

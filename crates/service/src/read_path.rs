@@ -25,14 +25,31 @@
 use crate::daemon::{metrics_json, retry_after_ms};
 use crate::json::{obj, Json};
 use crate::protocol::Request;
-use crate::sli::RateWindows;
-use nws_obs::Recorder;
+use crate::sli::{Kind, RateWindows};
+use nws_obs::{Recorder, Snapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
+// The instruments `stats`, `health` and the run summary read, one per
+// field (DESIGN.md §9 maps them). `daemon_requests_total{cmd}` counts
+// every answered request once, lock-free reads included, under
+// `cmd="invalid"` for an unparseable line.
+pub(crate) const REQUESTS: &str = "daemon_requests_total";
+pub(crate) const ERRORS: &str = "daemon_errors_total";
+pub(crate) const RESOLVE_LATENCY: &str = "daemon_resolve_latency_ms";
+pub(crate) const WARM_ITERATIONS: &str = "daemon_warm_iterations_total";
+pub(crate) const PAIRED_WARM_ITERATIONS: &str = "daemon_paired_warm_iterations_total";
+pub(crate) const SHADOW_COLD_ITERATIONS: &str = "daemon_shadow_cold_iterations_total";
+pub(crate) const SHADOW_COLD_LATENCY: &str = "daemon_shadow_cold_latency_ms";
+pub(crate) const DEGRADED_SOLVES: &str = "degraded_solves";
+pub(crate) const LAST_GOOD_FALLBACKS: &str = "daemon_last_good_fallbacks";
+pub(crate) const SHED: &str = "daemon_overload_shed_total";
+pub(crate) const READS_LOCKFREE: &str = "daemon_reads_served_lockfree_total";
+
 /// Point-in-time, immutable serving state published by the event loop.
 /// Everything needed to answer the read-only commands is precomputed here;
-/// the only live overlays are the queue/shed atomics and the SLI windows.
+/// the live overlays are the queue-depth atomic, the registry's request
+/// and shed counts, and the SLI windows.
 #[derive(Debug, Clone)]
 pub struct ReadSnapshot {
     /// Commit epoch: bumped on every committed state mutation (startup
@@ -58,7 +75,8 @@ pub struct ReadSnapshot {
     pub degraded_solves: u64,
     /// Cumulative last-good fallbacks.
     pub last_good_fallbacks: u64,
-    /// The `stats` payload at publish time.
+    /// The `stats` payload at publish time, rendered from the registry;
+    /// answering `stats` refreshes its request counts.
     pub stats: Json,
     /// The WAL stats object at publish time (`null` without a store).
     pub wal_stats: Json,
@@ -106,6 +124,77 @@ impl SnapshotCell {
     }
 }
 
+/// Counts one answered request under `cmd` in [`REQUESTS`].
+pub(crate) fn count_request(recorder: &Recorder, cmd: &'static str) {
+    recorder.counter_add_labeled(REQUESTS, "cmd", cmd, 1);
+}
+
+/// Renders the `stats` payload from one registry snapshot; every field
+/// reads one instrument. Counts are exact integers ([`Json::UInt`]), so a
+/// long-lived daemon's totals never round through f64.
+pub(crate) fn stats_json(reg: &Snapshot) -> Json {
+    let n = |name| reg.counter(name).unwrap_or(0);
+    let (resolves, _) = histogram_totals(reg, RESOLVE_LATENCY, None);
+    let (warm_resolves, warm_ms) = histogram_totals(reg, RESOLVE_LATENCY, Some("warm"));
+    let (shadow_resolves, shadow_cold_ms) = histogram_totals(reg, SHADOW_COLD_LATENCY, None);
+    let (paired, shadow_cold) = (n(PAIRED_WARM_ITERATIONS), n(SHADOW_COLD_ITERATIONS));
+    // Mean iterations saved per shadow pair: each pair contributes its
+    // own cold-minus-warm difference, so warm re-solves without a shadow
+    // counterpart never skew the figure; null until a pair has run.
+    let saved = (shadow_resolves > 0)
+        .then(|| (shadow_cold as f64 - paired as f64) / shadow_resolves as f64);
+    let [requests, errors, per_command, shed, reads_lockfree] = request_counts(reg);
+    obj(vec![
+        requests,
+        errors,
+        ("resolves", Json::UInt(resolves)),
+        ("warm_resolves", Json::UInt(warm_resolves)),
+        ("warm_iterations", Json::UInt(n(WARM_ITERATIONS))),
+        ("paired_warm_iterations", Json::UInt(paired)),
+        ("warm_ms", Json::Num(warm_ms)),
+        ("shadow_resolves", Json::UInt(shadow_resolves)),
+        ("shadow_cold_iterations", Json::UInt(shadow_cold)),
+        ("shadow_cold_ms", Json::Num(shadow_cold_ms)),
+        ("mean_iterations_saved", saved.map_or(Json::Null, Json::Num)),
+        ("degraded_solves", Json::UInt(n(DEGRADED_SOLVES))),
+        ("last_good_fallbacks", Json::UInt(n(LAST_GOOD_FALLBACKS))),
+        per_command,
+        shed,
+        reads_lockfree,
+    ])
+}
+
+/// The `stats` fields that reader threads and the coalesce buffer move
+/// without a publish, so `stats` reads them live: `requests` is the sum
+/// of `per_command`, whose members keep their first-seen order.
+fn request_counts(reg: &Snapshot) -> [(&'static str, Json); 5] {
+    let mut requests = 0;
+    let mut per_command = Vec::new();
+    for c in reg.counters.iter().filter(|c| c.name == REQUESTS) {
+        if let Some((_, cmd)) = c.label {
+            requests += c.value;
+            per_command.push((cmd.to_string(), Json::UInt(c.value)));
+        }
+    }
+    let count = |name| Json::UInt(reg.counter(name).unwrap_or(0));
+    [
+        ("requests", Json::UInt(requests)),
+        ("errors", count(ERRORS)),
+        ("per_command", Json::Obj(per_command)),
+        ("shed", count(SHED)),
+        ("reads_lockfree", count(READS_LOCKFREE)),
+    ]
+}
+
+/// `(count, sum)` over the members of histogram `name` whose label value
+/// is `value` (over every member for `None`).
+fn histogram_totals(reg: &Snapshot, name: &str, value: Option<&str>) -> (u64, f64) {
+    reg.histograms
+        .iter()
+        .filter(|h| h.name == name && value.is_none_or(|v| h.label.is_some_and(|(_, l)| l == v)))
+        .fold((0, 0.0), |(n, sum), h| (n + h.count, sum + h.sum))
+}
+
 /// Everything a connection thread needs to answer read-only commands:
 /// the snapshot cell plus the live atomics and instruments shared with
 /// the event loop and the overload shedder.
@@ -113,9 +202,7 @@ impl SnapshotCell {
 pub(crate) struct ReadHandle {
     pub cell: Arc<SnapshotCell>,
     pub queue_depth: Arc<AtomicU64>,
-    pub shed_count: Arc<AtomicU64>,
     pub ewma_ms_bits: Arc<AtomicU64>,
-    pub reads_lockfree: Arc<AtomicU64>,
     pub capacity: usize,
     pub recorder: Recorder,
     pub sli: Arc<RateWindows>,
@@ -123,18 +210,17 @@ pub(crate) struct ReadHandle {
 
 impl ReadHandle {
     /// Answers a read-only `req` on a connection thread, counting it as a
-    /// lock-free read and as a request in the SLI windows.
+    /// request, as a lock-free read, and in the SLI windows.
     pub fn answer_lockfree(&self, req: &Request) -> Json {
-        self.reads_lockfree.fetch_add(1, Ordering::Relaxed);
-        self.recorder
-            .counter_add("daemon_reads_served_lockfree_total", 1);
-        self.sli.record(crate::sli::Kind::Request);
-        self.sli.record(crate::sli::Kind::Read);
+        count_request(&self.recorder, req.name());
+        self.recorder.counter_add(READS_LOCKFREE, 1);
+        self.sli.record(Kind::Request);
+        self.sli.record(Kind::Read);
         self.answer(req)
     }
 
     /// Answers a read-only `req` from the current snapshot plus the live
-    /// atomics. Counting is the caller's: [`ReadHandle::answer_lockfree`]
+    /// overlays. Counting is the caller's: [`ReadHandle::answer_lockfree`]
     /// on connection threads, the event loop for queued reads.
     pub fn answer(&self, req: &Request) -> Json {
         let snap = self.cell.load();
@@ -150,23 +236,13 @@ impl ReadHandle {
                 ],
             ),
             Request::Stats => {
-                let lockfree = self.reads_lockfree.load(Ordering::Relaxed);
                 let mut stats = snap.stats.clone();
                 if let Json::Obj(pairs) = &mut stats {
-                    // Live overlays: lock-free reads never reach the event
-                    // loop's counters, and sheds happen on reader threads.
-                    let queued = pairs
-                        .iter()
-                        .find(|(k, _)| k == "requests")
-                        .and_then(|(_, v)| v.as_u64())
-                        .unwrap_or(0);
-                    set_field(pairs, "requests", Json::UInt(queued + lockfree));
-                    set_field(
-                        pairs,
-                        "shed",
-                        Json::UInt(self.shed_count.load(Ordering::Relaxed)),
-                    );
-                    set_field(pairs, "reads_lockfree", Json::UInt(lockfree));
+                    // Live overlay: reads, sheds and coalesce-buffer errors
+                    // are counted without a publish.
+                    for (key, value) in request_counts(&self.recorder.snapshot()) {
+                        set_field(pairs, key, value);
+                    }
                 }
                 self.ok(req, &snap, vec![("stats", stats)])
             }
@@ -189,7 +265,7 @@ impl ReadHandle {
                     ("serving_uncertified", Json::Bool(snap.serving_uncertified)),
                     ("degraded_solves", Json::UInt(snap.degraded_solves)),
                     ("last_good_fallbacks", Json::UInt(snap.last_good_fallbacks)),
-                    ("shed", Json::UInt(self.shed_count.load(Ordering::Relaxed))),
+                    ("shed", Json::UInt(self.recorder.counter(SHED).unwrap_or(0))),
                     (
                         "queue_depth",
                         Json::UInt(self.queue_depth.load(Ordering::Relaxed)),
@@ -235,10 +311,9 @@ impl ReadHandle {
     /// The shed response for a full queue, with an EWMA-derived
     /// `retry_after_ms` hint.
     pub fn overloaded(&self) -> Json {
-        self.shed_count.fetch_add(1, Ordering::Relaxed);
-        self.recorder.counter_add("daemon_overload_shed_total", 1);
-        self.sli.record(crate::sli::Kind::Request);
-        self.sli.record(crate::sli::Kind::Shed);
+        self.recorder.counter_add(SHED, 1);
+        self.sli.record(Kind::Request);
+        self.sli.record(Kind::Shed);
         let hint = retry_after_ms(
             f64::from_bits(self.ewma_ms_bits.load(Ordering::Relaxed)),
             self.capacity,

@@ -333,8 +333,8 @@ impl ServiceState {
     }
 
     /// Installs an observability sink: subsequent re-solves record solver
-    /// phase spans, evaluation fan-out counters, and the
-    /// `daemon_resolve_latency_ms{mode=…}` histogram into it.
+    /// phase spans and evaluation and rebuild counters into it. The
+    /// daemon, not the state, records each served re-solve's latency.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
     }
@@ -558,9 +558,6 @@ impl ServiceState {
             fallback = Some("last_good");
         }
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let mode = if warm_vec.is_some() { "warm" } else { "cold" };
-        self.recorder
-            .observe_labeled("daemon_resolve_latency_ms", "mode", mode, wall_ms);
 
         let cold = if shadow && warm_vec.is_some() {
             // The shadow solve is a benchmarking artifact: keep it out of

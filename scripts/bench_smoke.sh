@@ -200,11 +200,20 @@ stage_serve() {
         || { echo "exposition lacks the degraded-solve counter" >&2; exit 1; }
     grep -q '^daemon_overload_shed_total ' METRICS_serve.prom \
         || { echo "exposition lacks the overload-shed counter" >&2; exit 1; }
+    grep -q '^daemon_last_good_fallbacks 0' METRICS_serve.prom \
+        || { echo "exposition lacks the last-good-fallback counter at zero" >&2; exit 1; }
+    grep -q '^daemon_solve_escalations ' METRICS_serve.prom \
+        || { echo "exposition lacks the solve-escalation counter" >&2; exit 1; }
+    grep -q '^daemon_requests_total{cmd=' METRICS_serve.prom \
+        || { echo "exposition lacks the per-command request counters" >&2; exit 1; }
     grep -q '^persistence_degraded ' METRICS_serve.prom \
         || { echo "exposition lacks the persistence-degraded gauge" >&2; exit 1; }
     grep -q '^# span solve' METRICS_serve.prom \
         || { echo "exposition lacks the --trace span tree" >&2; exit 1; }
-    awk '/^#/ { next }
+    # Shape: every sample is `name[{labels}] value`, and no name has two
+    # `# TYPE` lines (Prometheus parsers reject a repeated header).
+    awk '/^# TYPE / { if (typed[$3]++) { bad = 1; print "second TYPE line: " $0 > "/dev/stderr" } }
+         /^#/ { next }
          { if (NF != 2 || $2 + 0 != $2) { bad = 1; print "malformed sample: " $0 > "/dev/stderr" } }
          END { exit bad }' METRICS_serve.prom \
         || { echo "METRICS_serve.prom failed the exposition shape check" >&2; exit 1; }
