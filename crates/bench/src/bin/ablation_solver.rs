@@ -6,12 +6,14 @@
 //! may result in a poor convergence"). This ablation solves the same
 //! randomized instances with each ingredient toggled and reports
 //! iteration counts and certification rates — plus the warm-start speedup
-//! of re-optimization.
+//! of re-optimization. The paper's rows pin [`Direction::PolakRibiere`];
+//! the last row and the last re-optimization take the solver's default,
+//! truncated Newton steps on the settled free face.
 
-use nws_bench::{banner, footer, mean, std_dev};
+use nws_bench::{banner, footer, mean, paper_config, std_dev};
 use nws_core::scenarios::{janet_task_with, BACKGROUND_SEED};
 use nws_core::{solve_placement, solve_placement_warm, PlacementConfig};
-use nws_solver::{NewtonLineSearch, SolverOptions};
+use nws_solver::{Direction, NewtonLineSearch, SolverOptions};
 
 fn main() {
     let t0 = banner(
@@ -20,13 +22,14 @@ fn main() {
     );
 
     let thetas = [20_000.0, 50_000.0, 100_000.0, 200_000.0, 400_000.0];
-    let variants: [(&str, SolverOptions); 3] = [
-        ("full (PR + Newton)", SolverOptions::default()),
+    let paper = paper_config().solver;
+    let variants: [(&str, SolverOptions); 4] = [
+        ("full (PR + Newton)", paper),
         (
             "no Polak-Ribiere",
             SolverOptions {
-                polak_ribiere: false,
-                ..SolverOptions::default()
+                direction: Direction::ProjectedGradient,
+                ..paper
             },
         ),
         (
@@ -36,9 +39,10 @@ fn main() {
                     grad_tol: 1e-3,
                     max_iters: 8,
                 },
-                ..SolverOptions::default()
+                ..paper
             },
         ),
+        ("Newton face steps", SolverOptions::default()),
     ];
 
     for (label, opts) in &variants {
@@ -63,21 +67,27 @@ fn main() {
         );
     }
 
-    // Warm-start ablation: re-optimize after a 10% traffic scale-up.
+    // Warm-start ablation: re-optimize after a 10% traffic scale-up, on the
+    // paper's path and with Newton face steps.
     println!();
     let base = janet_task_with(100_000.0, BACKGROUND_SEED).expect("valid");
-    let cfg = PlacementConfig::default();
-    let sol = solve_placement(&base, &cfg).expect("feasible");
     let shifted = janet_task_with(110_000.0, BACKGROUND_SEED).expect("valid");
-    let cold = solve_placement(&shifted, &cfg).expect("feasible");
-    let warm = solve_placement_warm(&shifted, &cfg, &sol.rates).expect("feasible");
-    println!(
-        "re-optimize after +10% theta: cold {} iterations, warm-started {} iterations \
-         (same objective to {:.1e})",
-        cold.diagnostics.iterations,
-        warm.diagnostics.iterations,
-        (cold.objective - warm.objective).abs()
-    );
+    for (label, solver) in [("", paper), (", Newton", SolverOptions::default())] {
+        let cfg = PlacementConfig {
+            solver,
+            ..PlacementConfig::default()
+        };
+        let sol = solve_placement(&base, &cfg).expect("feasible");
+        let cold = solve_placement(&shifted, &cfg).expect("feasible");
+        let warm = solve_placement_warm(&shifted, &cfg, &sol.rates).expect("feasible");
+        println!(
+            "re-optimize after +10% theta{label}: cold {} iterations, warm-started {} \
+             iterations (same objective to {:.1e})",
+            cold.diagnostics.iterations,
+            warm.diagnostics.iterations,
+            (cold.objective - warm.objective).abs()
+        );
+    }
 
     footer(t0);
 }

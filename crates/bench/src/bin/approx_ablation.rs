@@ -7,7 +7,7 @@
 //! that: solve the JANET task under both models and compare the resulting
 //! rates, objectives and per-OD effective rates.
 
-use nws_bench::{banner, footer};
+use nws_bench::{banner, footer, paper_config};
 use nws_core::report::render_csv;
 use nws_core::scenarios::janet_task;
 use nws_core::{solve_placement, PlacementConfig, RateModel};
@@ -23,7 +23,7 @@ fn main() {
         &task,
         &PlacementConfig {
             rate_model: RateModel::Approximate,
-            ..Default::default()
+            ..paper_config()
         },
     )
     .expect("feasible");
@@ -31,7 +31,7 @@ fn main() {
         &task,
         &PlacementConfig {
             rate_model: RateModel::Exact,
-            ..Default::default()
+            ..paper_config()
         },
     )
     .expect("feasible");

@@ -9,9 +9,9 @@
 //! (per-instance background gravity matrix, lognormal-perturbed OD sizes,
 //! θ drawn log-uniformly), solved in parallel.
 
-use nws_bench::{banner, footer, mean, std_dev};
+use nws_bench::{banner, footer, mean, paper_config, std_dev};
 use nws_core::scenarios::JANET_OD_RATES;
-use nws_core::{solve_placement, MeasurementTask, PlacementConfig};
+use nws_core::{solve_placement, MeasurementTask};
 use nws_routing::OdPair;
 use nws_topo::geant;
 use nws_traffic::demand::DemandMatrix;
@@ -71,7 +71,7 @@ fn main() {
                         .into_iter()
                         .map(|seed| {
                             let task = random_instance(seed);
-                            let sol = solve_placement(&task, &PlacementConfig::default())
+                            let sol = solve_placement(&task, &paper_config())
                                 .expect("instances are feasible by construction");
                             (
                                 sol.kkt_verified,

@@ -1,7 +1,10 @@
 //! Micro-benchmark of the objective-evaluation engine: the serial
 //! `value`/`gradient`/`curvature_along` kernels, the fused single-pass
 //! kernel vs the three separate kernels, the recorder overhead, plus solver
-//! end-to-end timings, on GEANT, Abilene, and a ~500-node random topology.
+//! end-to-end timings, on GEANT, Abilene, a ~500-node random topology and
+//! the 300-PoP `ring_task(300, 4000, 1)`. Each solver case also records
+//! whether the solve certified (`kkt`) and its iteration count under the
+//! paper's Polak–Ribière directions with the same cap (`pr_iterations`).
 //!
 //! Dependency-free (`std::time::Instant` only); emits machine-readable JSON
 //! (default `BENCH_eval.json`) that `scripts/check_bench.py` validates and
@@ -11,7 +14,7 @@
 //! `--out PATH`.
 
 use nws_bench::{banner, footer};
-use nws_core::scenarios::{abilene_task, janet_task};
+use nws_core::scenarios::{abilene_task, janet_task, ring_task};
 use nws_core::{
     solve_placement, MeasurementTask, PlacementConfig, PlacementObjective, RateModel, ReducedIndex,
     SreUtility,
@@ -19,7 +22,7 @@ use nws_core::{
 use nws_linalg::Vector;
 use nws_obs::Recorder;
 use nws_routing::{OdPair, Router};
-use nws_solver::Objective;
+use nws_solver::{Direction, Objective};
 use nws_topo::random::ring_with_chords;
 use std::hint::black_box;
 use std::time::Instant;
@@ -57,6 +60,9 @@ struct SolverResult {
     num_ods: usize,
     serial_ms: f64,
     iterations: usize,
+    kkt: bool,
+    /// Iterations of the same task and cap under Polak–Ribière.
+    pr_iterations: usize,
 }
 
 struct ObsResult {
@@ -243,17 +249,22 @@ fn random_task(n: usize, chords: usize) -> MeasurementTask {
         .expect("synthetic task is valid")
 }
 
-fn run_solver_case(name: &str, task: &MeasurementTask, max_iterations: usize) -> SolverResult {
+/// Solves `task` under the default config (iteration cap 2000), then again
+/// with Polak–Ribière directions for `pr_iterations`.
+fn run_solver_case(name: &str, task: &MeasurementTask) -> SolverResult {
     let mut config = PlacementConfig::default();
-    config.solver.max_iterations = max_iterations;
     let t0 = Instant::now();
     let sol = solve_placement(task, &config).expect("solve succeeds");
     let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
+    config.solver.direction = Direction::PolakRibiere;
+    let pr = solve_placement(task, &config).expect("solve succeeds");
     SolverResult {
         name: name.to_string(),
         num_ods: task.ods().len(),
         serial_ms,
         iterations: sol.diagnostics.iterations,
+        kkt: sol.kkt_verified,
+        pr_iterations: pr.diagnostics.iterations,
     }
 }
 
@@ -352,11 +363,13 @@ fn render_json(
     for (i, s) in solvers.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"num_ods\": {}, \"serial_ms\": {:.3}, \
-             \"iterations\": {}}}{}\n",
+             \"iterations\": {}, \"kkt\": {}, \"pr_iterations\": {}}}{}\n",
             s.name,
             s.num_ods,
             s.serial_ms,
             s.iterations,
+            s.kkt,
+            s.pr_iterations,
             if i + 1 < solvers.len() { "," } else { "" }
         ));
     }
@@ -426,17 +439,17 @@ fn main() {
 
     println!();
     println!("solver end-to-end:");
-    let solver_iters = if quick { 20 } else { 60 };
     let rand_task = random_task(rand_n, rand_chords);
     let solvers = vec![
-        run_solver_case("geant_janet", &janet, 2000),
-        run_solver_case("abilene", &abilene, 2000),
-        run_solver_case(&format!("random{rand_n}"), &rand_task, solver_iters),
+        run_solver_case("geant_janet", &janet),
+        run_solver_case("abilene", &abilene),
+        run_solver_case(&format!("random{rand_n}"), &rand_task),
+        run_solver_case("ring300", &ring_task(300, 4000, 1)),
     ];
     for s in &solvers {
         println!(
-            "{:<16} {:>9.1} ms   {} iterations",
-            s.name, s.serial_ms, s.iterations
+            "{:<16} {:>9.1} ms   {} iterations (Polak-Ribiere {}), certified {}",
+            s.name, s.serial_ms, s.iterations, s.pr_iterations, s.kkt
         );
     }
 

@@ -8,10 +8,10 @@
 //! average / worst / best OD accuracy for both monitor sets, over a sweep
 //! of θ.
 
-use nws_bench::{banner, footer};
+use nws_bench::{banner, footer, paper_config};
 use nws_core::report::render_csv;
 use nws_core::scenarios::{janet_task_with, uk_links, BACKGROUND_SEED};
-use nws_core::{evaluate_accuracy, solve_placement, summarize, PlacementConfig};
+use nws_core::{evaluate_accuracy, solve_placement, summarize};
 
 fn main() {
     let t0 = banner(
@@ -30,7 +30,7 @@ fn main() {
         1_000_000.0,
     ];
     let runs = 20;
-    let cfg = PlacementConfig::default();
+    let cfg = paper_config();
 
     let mut rows = Vec::new();
     for &theta in &thetas {

@@ -7,17 +7,17 @@
 //! paper computes as 173 798 sampled packets per interval — about 70 % more
 //! capacity than the θ = 100 000 the optimum needs.
 
-use nws_bench::{banner, footer};
+use nws_bench::{banner, footer, paper_config};
 use nws_core::baseline::access_link_only;
 use nws_core::scenarios::janet_task;
-use nws_core::{solve_placement, PlacementConfig};
+use nws_core::solve_placement;
 use nws_topo::janet_access_link;
 
 fn main() {
     let t0 = banner("naive", "access-link-only monitoring capacity accounting");
 
     let task = janet_task();
-    let opt = solve_placement(&task, &PlacementConfig::default()).expect("feasible");
+    let opt = solve_placement(&task, &paper_config()).expect("feasible");
 
     // The binding requirement for a single shared monitor is the *highest*
     // effective rate in the optimum — the small OD pairs (JANET-LU) need

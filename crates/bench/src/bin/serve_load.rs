@@ -389,7 +389,6 @@ fn main() {
                 ("requests", Json::UInt(summary.requests)),
                 ("resolves", Json::UInt(summary.resolves)),
                 ("shed", Json::UInt(summary.shed)),
-                ("reads_lockfree", Json::UInt(summary.reads_lockfree)),
                 ("connections", Json::UInt(summary.connections)),
                 ("clean_shutdown", Json::Bool(summary.clean_shutdown)),
             ]),

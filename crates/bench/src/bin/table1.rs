@@ -6,17 +6,16 @@
 //! with their rates, loads and capacity contributions, and the per-OD
 //! utilities and Monte-Carlo accuracies (20 sampling runs, as in §V-B).
 
-use nws_bench::{banner, footer};
+use nws_bench::{banner, footer, paper_config};
 use nws_core::report::render_table1;
 use nws_core::scenarios::janet_task;
-use nws_core::{evaluate_accuracy, solve_placement, summarize, PlacementConfig};
+use nws_core::{evaluate_accuracy, solve_placement, summarize};
 
 fn main() {
     let t0 = banner("table1", "optimal sampling rates for the JANET->GEANT task");
 
     let task = janet_task();
-    let sol =
-        solve_placement(&task, &PlacementConfig::default()).expect("reference task is feasible");
+    let sol = solve_placement(&task, &paper_config()).expect("reference task is feasible");
     let accs = evaluate_accuracy(&task, &sol, 20, 1);
 
     print!("{}", render_table1(&task, &sol, &accs));

@@ -26,7 +26,23 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use nws_core::PlacementConfig;
+use nws_solver::{Direction, SolverOptions};
 use std::time::Instant;
+
+/// The paper's solver configuration (§IV-D): the default placement
+/// config with its directions pinned to [`Direction::PolakRibiere`], so the
+/// reproductions of the paper's tables and figures run the paper's method
+/// rather than the solver's default Newton face steps.
+pub fn paper_config() -> PlacementConfig {
+    PlacementConfig {
+        solver: SolverOptions {
+            direction: Direction::PolakRibiere,
+            ..SolverOptions::default()
+        },
+        ..PlacementConfig::default()
+    }
+}
 
 /// Prints a standard experiment banner and returns a timer for the footer.
 pub fn banner(id: &str, what: &str) -> Instant {

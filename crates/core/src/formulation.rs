@@ -7,12 +7,14 @@
 //! produces value, gradient, and both directional derivatives from one CSR
 //! sweep. Under the approximate rate model a line search costs one sweep in
 //! all: it records each row's `(ρ_k, r_k·s)` at `t = 0`, and every Newton
-//! probe is answered from those scalars ([`Objective::prepare_line`]).
+//! probe is answered from those scalars ([`Objective::prepare_line`]). The
+//! same model's curvature `−∇²f = Rᵀ·D·R` is prepared by one sweep that
+//! records each row's `D_k` ([`Objective::prepare_curvature`]).
 
 use crate::{CoreError, MeasurementTask, SreUtility, Utility};
 use nws_linalg::Vector;
 use nws_obs::Recorder;
-use nws_solver::{BoxLinearProblem, LineProbe, Objective, TrialPoints};
+use nws_solver::{BoxLinearProblem, CurvatureProbe, LineProbe, Objective, TrialPoints};
 use nws_topo::LinkId;
 use std::ops::Range;
 
@@ -329,6 +331,42 @@ impl<U: Utility> ObjectiveCore<U> {
     }
 }
 
+/// The approximate model's curvature at one point
+/// ([`PlacementObjective`]'s [`Objective::prepare_curvature`]):
+/// `−∇²f(p) = Rᵀ·D·R` with `D_k = −w_k·M″_k(ρ_k(p)) ≥ 0`, so a product
+/// and the diagonal each cost one pass over the rows.
+struct PreparedCurvature<'a, U> {
+    core: &'a ObjectiveCore<U>,
+    /// `D_k` per OD row.
+    d: Vec<f64>,
+}
+
+impl<U: Utility> CurvatureProbe for PreparedCurvature<'_, U> {
+    fn apply(&self, v: &Vector, out: &mut Vector) {
+        out.as_mut_slice().fill(0.0);
+        for (k, &dk) in self.d.iter().enumerate() {
+            let row = self.core.row(k);
+            let rv: f64 = row.iter().map(|&(i, r)| r * v[i]).sum();
+            if rv != 0.0 {
+                let scaled = dk * rv;
+                for &(i, r) in row {
+                    out[i] += scaled * r;
+                }
+            }
+        }
+    }
+
+    fn diagonal(&self) -> Vector {
+        let mut diag = Vector::zeros(self.core.dim);
+        for (k, &dk) in self.d.iter().enumerate() {
+            for &(i, r) in self.core.row(k) {
+                diag[i] += dk * r * r;
+            }
+        }
+        diag
+    }
+}
+
 /// The approximate model restricted to one search line
 /// ([`PlacementObjective`]'s [`Objective::prepare_line`]): the per-row
 /// `(ρ_k(p), r_k·s)` pairs of one sweep at `t = 0` answer every probe.
@@ -599,6 +637,21 @@ impl<U: Utility> Objective for PlacementObjective<U> {
             }),
             RateModel::Exact => Box::new(TrialPoints::new(self, p, s)),
         }
+    }
+
+    /// Under the approximate model one sweep caches every row's
+    /// `D_k = −w_k·M″_k(ρ_k)`, counted as one evaluation (not a fused
+    /// one). The exact model's curvature has no such form: `None`.
+    fn prepare_curvature<'a>(&'a self, p: &'a Vector) -> Option<Box<dyn CurvatureProbe + 'a>> {
+        if self.core.rate_model != RateModel::Approximate {
+            return None;
+        }
+        self.recorder.counter_add("eval_calls_total", 1);
+        let core = &self.core;
+        let d = (0..core.num_ods())
+            .map(|k| -core.weights[k] * core.utilities[k].d2(core.effective_rate(k, p)))
+            .collect();
+        Some(Box::new(PreparedCurvature { core, d }))
     }
 }
 

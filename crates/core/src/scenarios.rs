@@ -21,6 +21,8 @@ use nws_routing::OdPair;
 use nws_topo::{geant, LinkId, Topology};
 use nws_traffic::demand::DemandMatrix;
 use nws_traffic::MEASUREMENT_INTERVAL_SECS;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The 20 destination PoPs and their JANET-sourced rates in packets/second,
 /// in the descending order of the paper's Table I. The values reproduce the
@@ -198,6 +200,50 @@ pub fn abilene_task(theta: f64, background_seed: u64) -> Result<MeasurementTask,
         builder = builder.track(name, od, size);
     }
     builder.background_loads(&bg_loads).theta(theta).build()
+}
+
+/// `ring(pops, ods, seed)`, the seeded synthetic backbone the solver's
+/// scaling tests and benchmarks share: a `ring_with_chords(pops, pops / 2,
+/// seed)` topology, `ods` tracked ODs between random PoP pairs with
+/// heavy-tailed (Pareto, shape 1.2) sizes, a 5e7-packet gravity background
+/// and θ at 0.2% of the tracked volume — few monitors on at the optimum.
+///
+/// # Panics
+/// Panics if `pops < 3` or `ods` exceeds the `pops·(pops − 1)` ordered
+/// PoP pairs.
+pub fn ring_task(pops: usize, ods: usize, seed: u64) -> MeasurementTask {
+    assert!(
+        pops >= 3 && ods <= pops * (pops - 1),
+        "ring({pops}, {ods}) has too few PoP pairs"
+    );
+    let topo = nws_topo::random::ring_with_chords(pops, pops / 2, seed);
+    let nodes: Vec<_> = topo.node_ids().collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    while pairs.len() < ods {
+        let (s, d) = (
+            rng.random_range(0..nodes.len()),
+            rng.random_range(0..nodes.len()),
+        );
+        if s != d && !pairs.contains(&(s, d)) {
+            pairs.push((s, d));
+        }
+    }
+    let background =
+        DemandMatrix::gravity_capacity_weighted(&topo, 5e7, 0.5, seed ^ 0x6267).link_loads(&topo);
+    let mut builder = MeasurementTask::builder(topo);
+    let mut total = 0.0;
+    for (i, &(s, d)) in pairs.iter().enumerate() {
+        let u: f64 = rng.random_range(1e-6..1.0);
+        let size = (2_000.0 * u.powf(-1.0 / 1.2)).min(2.0e7);
+        total += size;
+        builder = builder.track(format!("od{i}"), OdPair::new(nodes[s], nodes[d]), size);
+    }
+    builder
+        .background_loads(&background)
+        .theta(total * 0.002)
+        .build()
+        .expect("ring task is valid by construction")
 }
 
 /// The ingress PoP's backbone links in the Abilene scenario (NYCM's trunks,

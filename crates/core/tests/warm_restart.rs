@@ -5,40 +5,14 @@
 //! which a uniform demand drop leaves the carried plan under budget: the
 //! warm start must keep its off monitors off instead of lifting them all.
 
-use nws_core::scenarios::janet_task;
+mod common;
+
+use common::perturbed_task;
+use nws_core::scenarios::{janet_task, ring_task};
 use nws_core::{
     solve_placement, solve_placement_warm, MeasurementTask, PlacementConfig, ACTIVATION_THRESHOLD,
 };
-use nws_routing::OdPair;
-use nws_topo::random::ring_with_chords;
-use nws_topo::NodeId;
-use nws_traffic::demand::DemandMatrix;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Rebuilds `base` with each OD size scaled by its multiplier,
-/// keeping background, θ, and α unchanged.
-fn perturbed_task(base: &MeasurementTask, mults: &[f64]) -> MeasurementTask {
-    let sizes: Vec<f64> = base.ods().iter().map(|o| o.size).collect();
-    let tracked = base.routing().link_loads(&sizes);
-    let background: Vec<f64> = base
-        .link_loads()
-        .iter()
-        .zip(&tracked)
-        .map(|(total, t)| (total - t).max(0.0))
-        .collect();
-    let mut builder = MeasurementTask::builder(base.topology().clone());
-    for (od, m) in base.ods().iter().zip(mults) {
-        builder = builder.track(od.name.clone(), od.od, od.size * m);
-    }
-    builder
-        .background_loads(&background)
-        .theta(base.theta())
-        .alpha(base.alpha()[0])
-        .build()
-        .expect("perturbed task stays valid")
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -74,38 +48,9 @@ proptest! {
     }
 }
 
-/// A seeded 24-PoP `ring_with_chords` backbone: 30 ODs between random PoP
-/// pairs with heavy-tailed sizes, a gravity background, and θ at 0.2% of
-/// the tracked volume — few monitors on at the optimum.
+/// A seeded 24-PoP backbone with 30 tracked ODs ([`ring_task`]).
 fn backbone_task(seed: u64) -> MeasurementTask {
-    let topo = ring_with_chords(24, 12, seed);
-    let nodes: Vec<NodeId> = topo.node_ids().collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    while pairs.len() < 30 {
-        let (s, d) = (
-            rng.random_range(0..nodes.len()),
-            rng.random_range(0..nodes.len()),
-        );
-        if s != d && !pairs.contains(&(s, d)) {
-            pairs.push((s, d));
-        }
-    }
-    let background =
-        DemandMatrix::gravity_capacity_weighted(&topo, 5e7, 0.5, seed ^ 0x6267).link_loads(&topo);
-    let mut builder = MeasurementTask::builder(topo);
-    let mut total = 0.0;
-    for (i, &(s, d)) in pairs.iter().enumerate() {
-        let u: f64 = rng.random_range(1e-6..1.0);
-        let size = (2_000.0 * u.powf(-1.0 / 1.2)).min(2.0e7);
-        total += size;
-        builder = builder.track(format!("od{i}"), OdPair::new(nodes[s], nodes[d]), size);
-    }
-    builder
-        .background_loads(&background)
-        .theta(total * 0.002)
-        .build()
-        .expect("backbone task is valid")
+    ring_task(24, 30, seed)
 }
 
 #[test]

@@ -225,14 +225,45 @@ impl Recorder {
         );
     }
 
+    /// Registers the unlabelled histogram `name` with no observations, so
+    /// the exposition carries its buckets, `_sum 0` and `_count 0` before
+    /// the first [`Recorder::observe`]. Registering an existing histogram
+    /// leaves it as it is.
+    pub fn register_histogram(&self, name: &'static str) {
+        self.histogram_key(Key { name, label: None }, |_| {});
+    }
+
+    /// [`Recorder::register_histogram`] for the
+    /// `name{label_key="label_value"}` member of a labelled family.
+    pub fn register_histogram_labeled(
+        &self,
+        name: &'static str,
+        label_key: &'static str,
+        label_value: &'static str,
+    ) {
+        self.histogram_key(
+            Key {
+                name,
+                label: Some((label_key, label_value)),
+            },
+            |_| {},
+        );
+    }
+
     fn observe_key(&self, key: Key, value: f64) {
+        self.histogram_key(key, |h| h.observe(value));
+    }
+
+    /// Applies `f` to the histogram of `key`, registering it empty first
+    /// if needed.
+    fn histogram_key(&self, key: Key, f: impl FnOnce(&mut Histogram)) {
         let Some(reg) = &self.inner else { return };
         let mut st = reg.lock();
         match st.histograms.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, h)) => h.observe(value),
+            Some((_, h)) => f(h),
             None => {
                 let mut h = Histogram::new();
-                h.observe(value);
+                f(&mut h);
                 st.histograms.push((key, h));
             }
         }
@@ -721,6 +752,39 @@ depth_max 2
         // 2000 overflows every bound into +Inf.
         let stats = &snap.histograms[1];
         assert_eq!(stats.bucket_counts[LATENCY_BUCKETS_MS.len()], 1);
+    }
+
+    #[test]
+    fn registered_histograms_render_at_zero() {
+        let rec = Recorder::enabled();
+        rec.register_histogram("shadow_ms");
+        rec.register_histogram_labeled("resolve_ms", "mode", "cold");
+        rec.register_histogram_labeled("resolve_ms", "mode", "warm");
+        rec.observe_labeled("resolve_ms", "mode", "cold", 3.0);
+        // Registering again keeps the observation.
+        rec.register_histogram_labeled("resolve_ms", "mode", "cold");
+        let text = rec.exposition(false);
+        for line in [
+            "# TYPE shadow_ms histogram",
+            "shadow_ms_bucket{le=\"0.05\"} 0",
+            "shadow_ms_bucket{le=\"+Inf\"} 0",
+            "shadow_ms_sum 0",
+            "shadow_ms_count 0",
+            "resolve_ms_bucket{mode=\"warm\",le=\"1000\"} 0",
+            "resolve_ms_sum{mode=\"warm\"} 0",
+            "resolve_ms_count{mode=\"warm\"} 0",
+            "resolve_ms_count{mode=\"cold\"} 1",
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "missing {line:?} in:\n{text}"
+            );
+        }
+        assert_eq!(text.matches("# TYPE resolve_ms histogram").count(), 1);
+        // A disabled recorder registers nothing.
+        let off = Recorder::disabled();
+        off.register_histogram("shadow_ms");
+        assert!(off.snapshot().histograms.is_empty());
     }
 
     #[test]

@@ -272,7 +272,8 @@ impl Daemon {
         // expose explicit zeros (absence would be ambiguous in the
         // exposition and break rate() queries on first increment). The
         // members of `daemon_requests_total{cmd}` register on first use,
-        // which keeps `per_command` in first-seen order.
+        // which keeps `per_command` in first-seen order. The histograms
+        // `stats` reads register empty for the same reason.
         for name in [
             DEGRADED_SOLVES,
             SHED,
@@ -295,6 +296,11 @@ impl Daemon {
         ] {
             self.recorder.counter_add(name, 0);
         }
+        for mode in ["cold", "warm"] {
+            self.recorder
+                .register_histogram_labeled(RESOLVE_LATENCY, "mode", mode);
+        }
+        self.recorder.register_histogram(SHADOW_COLD_LATENCY);
         self.recorder.gauge_set("persistence_degraded", 0.0);
 
         // Durable store first: recovery may restore an installed
@@ -1722,6 +1728,36 @@ mod tests {
             let (_, value) = line.rsplit_once(' ').expect("sample line");
             assert!(value.parse::<f64>().is_ok(), "bad sample line: {line}");
         }
+    }
+
+    #[test]
+    fn stats_histograms_are_exported_before_their_first_observation() {
+        let dir = std::env::temp_dir().join("nws_service_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("metrics_ping_only.prom");
+        let script = "{\"cmd\":\"ping\"}\n{\"cmd\":\"shutdown\"}\n";
+        run_script(
+            script,
+            DaemonOptions {
+                metrics_out: Some(path.to_string_lossy().into_owned()),
+                ..DaemonOptions::default()
+            },
+        );
+        let text = std::fs::read_to_string(&path).unwrap();
+        for line in [
+            "daemon_resolve_latency_ms_count{mode=\"cold\"} 1",
+            "daemon_resolve_latency_ms_count{mode=\"warm\"} 0",
+            "daemon_resolve_latency_ms_sum{mode=\"warm\"} 0",
+            "daemon_shadow_cold_latency_ms_count 0",
+            "daemon_shadow_cold_latency_ms_sum 0",
+        ] {
+            assert!(text.lines().any(|l| l == line), "missing {line:?}:\n{text}");
+        }
+        assert_eq!(
+            text.matches("# TYPE daemon_resolve_latency_ms histogram")
+                .count(),
+            1
+        );
     }
 
     /// A daemon before startup: its registry holds only what a test puts

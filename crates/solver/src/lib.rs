@@ -13,6 +13,10 @@
 //! 1. project the gradient onto the subspace spanned by the *active*
 //!    constraints (clamped bounds + the capacity equality);
 //! 2. mix successive search directions with the **Polak–Ribière** rule;
+//!    once a line search ends inside the face without changing the active
+//!    set, take a truncated **Newton** step on the free face instead
+//!    ([`Direction::Newton`], the default; the paper's path is
+//!    [`Direction::PolakRibiere`]);
 //! 3. run an exact 1-D **Newton line search** along the direction, stopping
 //!    early when an inactive bound is hit (which then joins the active set);
 //! 4. at interior stationary points, compute **Lagrange multipliers** and
@@ -62,6 +66,7 @@ mod diagnostics;
 mod error;
 mod kkt;
 mod line_search;
+mod newton;
 mod problem;
 mod projection;
 mod solve;
@@ -71,9 +76,10 @@ pub use diagnostics::{Diagnostics, Solution, TerminationReason};
 pub use error::SolverError;
 pub use kkt::{compute_multipliers, KktReport, Multipliers};
 pub use line_search::{LineProbe, LineSearchOutcome, NewtonLineSearch, TrialPoints};
+pub use newton::CurvatureProbe;
 pub use problem::{BoxLinearProblem, Objective};
 pub use projection::project_gradient;
-pub use solve::{SolveBudget, Solver, SolverOptions};
+pub use solve::{Direction, SolveBudget, Solver, SolverOptions};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, SolverError>;

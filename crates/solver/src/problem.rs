@@ -1,6 +1,6 @@
 //! Problem definition: objective trait and the box-plus-equality polytope.
 
-use crate::{LineProbe, Result, SolverError, TrialPoints};
+use crate::{CurvatureProbe, LineProbe, Result, SolverError, TrialPoints};
 use nws_linalg::Vector;
 
 /// A twice continuously differentiable concave objective to *maximize*.
@@ -77,6 +77,20 @@ pub trait Objective {
     /// up to float rounding.
     fn prepare_line<'a>(&'a self, p: &'a Vector, s: &'a Vector) -> Box<dyn LineProbe + 'a> {
         Box::new(TrialPoints::new(self, p, s))
+    }
+
+    /// The curvature `−∇²f(p)` at one point, prepared once per Newton
+    /// direction: the returned probe applies it to vectors and reports its
+    /// diagonal, which is all the truncated Newton step on the free face
+    /// needs ([`crate::Direction::Newton`]).
+    ///
+    /// The default is `None`, and the solver then keeps to Polak–Ribière.
+    /// Objectives whose Hessian has a cheap matrix-free form (e.g.
+    /// `Rᵀ·D·R` for separable terms of a linear map `R`) should override
+    /// it; overrides must agree with [`Objective::curvature_along`]:
+    /// `vᵀ·apply(v) = −curvature_along(p, v)` up to float rounding.
+    fn prepare_curvature<'a>(&'a self, _p: &'a Vector) -> Option<Box<dyn CurvatureProbe + 'a>> {
+        None
     }
 }
 

@@ -1,5 +1,6 @@
 //! The gradient-projection solver loop.
 
+use crate::newton::newton_step;
 use crate::{
     compute_multipliers, project_gradient, ActiveSet, BoxLinearProblem, Diagnostics,
     LineSearchOutcome, NewtonLineSearch, Objective, Result, Solution, SolverError,
@@ -36,6 +37,26 @@ impl SolveBudget {
     }
 }
 
+/// How the solve loop picks its search direction on the current face.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Direction {
+    /// The projected gradient alone: steepest ascent on the face, which
+    /// zigzags along stiff valleys (the pathology paper §IV-D names).
+    ProjectedGradient,
+    /// The paper's method (§IV-D): successive projected gradients mixed by
+    /// the Polak–Ribière rule, the memory cleared whenever the active set
+    /// changes.
+    PolakRibiere,
+    /// Polak–Ribière while the active set moves; once a line search ends
+    /// inside the face without changing it, a truncated Newton step on the
+    /// free face (Moré and Toraldo's GPCG, 1991), for objectives that
+    /// answer [`Objective::prepare_curvature`]. Any bound hit, re-clamp,
+    /// release or reclassification sends the loop back to Polak–Ribière,
+    /// and a Newton step clears its memory.
+    #[default]
+    Newton,
+}
+
 /// Tunable parameters of the solver.
 #[derive(Debug, Clone, Copy)]
 pub struct SolverOptions {
@@ -54,8 +75,8 @@ pub struct SolverOptions {
     pub bound_snap_tol: f64,
     /// Tolerance below which a bound multiplier counts as negative.
     pub multiplier_tol: f64,
-    /// Whether to mix successive directions with the Polak–Ribière rule.
-    pub polak_ribiere: bool,
+    /// The search direction on the current face.
+    pub direction: Direction,
     /// Record the objective value at every iteration into
     /// [`crate::Solution::objective_trajectory`]. Off by default (one extra
     /// objective evaluation per iteration); used by convergence studies and
@@ -75,7 +96,7 @@ impl Default for SolverOptions {
             grad_tol: 1e-6,
             bound_snap_tol: 1e-12,
             multiplier_tol: 1e-9,
-            polak_ribiere: true,
+            direction: Direction::default(),
             record_objective: false,
             line_search: NewtonLineSearch::default(),
             budget: SolveBudget::default(),
@@ -164,6 +185,9 @@ impl Solver {
         // Conjugate-direction memory; cleared whenever the active set changes.
         let mut prev_dir: Option<Vector> = None;
         let mut prev_proj: Option<Vector> = None;
+        // Set only when the last line search ended inside the face with the
+        // active set unchanged: the next direction may then be a Newton step.
+        let mut settled = false;
 
         let mut releases = 0usize;
         let mut bounds_hit = 0usize;
@@ -190,6 +214,8 @@ impl Solver {
                 }
             }
             iterations += 1;
+            // Every path but a settled interior step below leaves this false.
+            let face_settled = std::mem::take(&mut settled);
             {
                 let _phase = rec.span("direction");
                 // When the trajectory is recorded, the fused kernel produces
@@ -275,22 +301,22 @@ impl Solver {
                 continue;
             }
 
-            // Polak–Ribière conjugate mixing of the projected gradient.
-            let mut s = d.clone();
-            if o.polak_ribiere {
-                if let (Some(pd), Some(pg)) = (&prev_dir, &prev_proj) {
-                    let denom = pg.dot(pg);
-                    if denom > 0.0 {
-                        let beta = (d.dot(&(&d - pg)) / denom).max(0.0);
-                        s.axpy(beta, pd);
-                        // Safeguards: the mixed direction must stay an ascent
-                        // direction; otherwise restart from the projection.
-                        if g.dot(&s) <= 0.0 {
-                            s = d.clone();
-                        }
-                    }
-                }
-            }
+            let newton = if o.direction == Direction::Newton && face_settled {
+                let _phase = rec.span("direction");
+                obj.prepare_curvature(&p).and_then(|curvature| {
+                    newton_step(&*curvature, &g, &d, &active, problem.eq_normal())
+                })
+            } else {
+                None
+            };
+            let is_newton = newton.is_some();
+            let s = if let Some(step) = newton {
+                prev_dir = None;
+                prev_proj = None;
+                step
+            } else {
+                self.conjugate(&g, &d, prev_dir.as_ref(), prev_proj.as_ref())
+            };
 
             let Some((t_max, hit_var, hit_upper)) = max_step(&p, &s, problem, &active) else {
                 // Numerically null direction — treat as stationary and let
@@ -313,8 +339,10 @@ impl Solver {
                     // iterate enough to destroy slow conjugate progress
                     // along stiff valley floors.
                     maybe_repair_feasibility(&mut p, &active, problem);
-                    prev_dir = Some(s);
-                    prev_proj = Some(d);
+                    if !is_newton {
+                        prev_dir = Some(s);
+                        prev_proj = Some(d);
+                    }
                     // The interior step may still have drifted a coordinate
                     // onto a bound; classify so the projection stays honest.
                     let new_active = ActiveSet::classify(&p, problem, o.bound_snap_tol);
@@ -324,6 +352,8 @@ impl Solver {
                         maybe_repair_feasibility(&mut p, &active, problem);
                         prev_dir = None;
                         prev_proj = None;
+                    } else {
+                        settled = true;
                     }
                 }
                 LineSearchOutcome::ReachedMax => {
@@ -343,9 +373,9 @@ impl Solver {
                     prev_proj = None;
                 }
                 LineSearchOutcome::NoProgress => {
-                    if prev_dir.is_some() {
-                        // The conjugate direction stalled; retry from the pure
-                        // projection next iteration.
+                    if prev_dir.is_some() || is_newton {
+                        // The conjugate or Newton direction stalled; retry
+                        // from the pure projection next iteration.
                         prev_dir = None;
                         prev_proj = None;
                         continue;
@@ -428,6 +458,35 @@ impl Solver {
             rep.stationarity_residual,
             trajectory,
         ))
+    }
+
+    /// The projected gradient `d`, mixed with the previous direction `pd`
+    /// (whose projected gradient was `pg`) by the Polak–Ribière rule unless
+    /// the options ask for the projected gradient alone.
+    fn conjugate(
+        &self,
+        g: &Vector,
+        d: &Vector,
+        pd: Option<&Vector>,
+        pg: Option<&Vector>,
+    ) -> Vector {
+        let mut s = d.clone();
+        if self.options.direction == Direction::ProjectedGradient {
+            return s;
+        }
+        if let (Some(pd), Some(pg)) = (pd, pg) {
+            let denom = pg.dot(pg);
+            if denom > 0.0 {
+                let beta = (d.dot(&(d - pg)) / denom).max(0.0);
+                s.axpy(beta, pd);
+                // Safeguards: the mixed direction must stay an ascent
+                // direction; otherwise restart from the projection.
+                if g.dot(&s) <= 0.0 {
+                    s = d.clone();
+                }
+            }
+        }
+        s
     }
 
     /// Attempts one exact line search along the projected gradient `d` from
@@ -894,7 +953,7 @@ mod tests {
     }
 
     #[test]
-    fn polak_ribiere_agrees_with_plain_projection() {
+    fn conjugate_and_plain_projection_agree() {
         let obj = Quad {
             w: vec![1.0, 2.0, 3.0],
             c: vec![0.9, 0.4, 0.2],
@@ -905,13 +964,16 @@ mod tests {
             1.0,
         )
         .unwrap();
-        let pr = Solver::default().maximize(&obj, &pb).unwrap();
-        let plain = Solver::new(SolverOptions {
-            polak_ribiere: false,
-            ..SolverOptions::default()
-        })
-        .maximize(&obj, &pb)
-        .unwrap();
+        let with = |direction| {
+            Solver::new(SolverOptions {
+                direction,
+                ..SolverOptions::default()
+            })
+        };
+        let pr = with(Direction::PolakRibiere).maximize(&obj, &pb).unwrap();
+        let plain = with(Direction::ProjectedGradient)
+            .maximize(&obj, &pb)
+            .unwrap();
         assert!(pr.kkt_verified && plain.kkt_verified);
         assert!(pr.p.approx_eq(&plain.p, 1e-6), "{} vs {}", pr.p, plain.p);
         assert!((pr.value - plain.value).abs() < 1e-9);

@@ -206,6 +206,10 @@ stage_serve() {
         || { echo "exposition lacks the solve-escalation counter" >&2; exit 1; }
     grep -q '^daemon_requests_total{cmd=' METRICS_serve.prom \
         || { echo "exposition lacks the per-command request counters" >&2; exit 1; }
+    grep -q '^daemon_resolve_latency_ms_count{mode="warm"} ' METRICS_serve.prom \
+        || { echo "exposition lacks the warm re-solve latency histogram" >&2; exit 1; }
+    grep -q '^daemon_shadow_cold_latency_ms_count ' METRICS_serve.prom \
+        || { echo "exposition lacks the shadow-cold latency histogram" >&2; exit 1; }
     grep -q '^persistence_degraded ' METRICS_serve.prom \
         || { echo "exposition lacks the persistence-degraded gauge" >&2; exit 1; }
     grep -q '^# span solve' METRICS_serve.prom \

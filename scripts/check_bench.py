@@ -60,7 +60,10 @@ For eval reports, checks in order:
 2.  Perf gates (hard):
       - obs overhead_ratio <= OBS_RATIO_MAX;
       - every fused case: fusion_gain >= FUSED_FLOOR (the single-pass
-        kernel may never lose to three passes).
+        kernel may never lose to three passes);
+      - every solver case certifies (kkt) within the iteration cap, in no
+        more iterations than the paper's Polak-Ribiere directions take on
+        the same task and cap (pr_iterations).
 3.  Structural baselines (scripts/bench_baselines.json): num_ods/nnz/dim of
     each case must match exactly — instance drift silently invalidates every
     committed number — and timing fields are compared within a wide
@@ -99,7 +102,7 @@ EVAL_FIELDS = (
     "curvature_ms",
 )
 FUSED_FIELDS = ("name", "model", "separate_ms", "fused_ms", "fusion_gain")
-SOLVER_FIELDS = ("name", "num_ods", "serial_ms", "iterations")
+SOLVER_FIELDS = ("name", "num_ods", "serial_ms", "iterations", "kkt", "pr_iterations")
 
 failures = []
 
@@ -156,6 +159,15 @@ def check_perf_gates(report):
             fail(f"gates: fused {case['name']}/{case['model']} gain "
                  f"{case['fusion_gain']:.3f} < {FUSED_FLOOR} — fusion lost "
                  f"to separate kernels")
+    # Gate 3: the default direction certifies, never slower than the
+    # paper's path.
+    for case in report["solver_cases"]:
+        if case["kkt"] is not True:
+            fail(f"gates: solver case {case['name']} did not certify in "
+                 f"{case['iterations']} iterations")
+        if case["iterations"] > case["pr_iterations"]:
+            fail(f"gates: solver case {case['name']} took {case['iterations']} "
+                 f"iterations, more than Polak-Ribiere's {case['pr_iterations']}")
 
 
 def structure_of(report):
