@@ -54,9 +54,10 @@ fn main() {
     // Within the approx solution, how far is eq. (7) from eq. (1)?
     let mut rows = Vec::new();
     let mut worst_gap = 0.0f64;
+    let exact_rates = approx.effective_rates_exact(&task);
     for (k, od) in task.ods().iter().enumerate() {
         let ra = approx.effective_rates_approx[k];
-        let re = approx.effective_rates_exact[k];
+        let re = exact_rates[k];
         let gap = (ra - re) / re.max(1e-300);
         worst_gap = worst_gap.max(gap);
         rows.push(vec![od.size / 300.0, ra, re, gap]);

@@ -5,6 +5,11 @@
 //! the 300-PoP `ring_task(300, 4000, 1)`. Each solver case also records
 //! whether the solve certified (`kkt`) and its iteration count under the
 //! paper's Polak–Ribière directions with the same cap (`pr_iterations`).
+//! The warm cases time the fixed cost of a warm re-solve at three sizes:
+//! after one cold solve, each seeded draw scales every OD size by a factor
+//! in [0.9, 1.1], rebuilds the task over the same routing and re-solves
+//! warm from the cold rates; `outside_ms` is the part of that re-solve
+//! outside the solver's `solve` span (projection, objective build, report).
 //!
 //! Dependency-free (`std::time::Instant` only); emits machine-readable JSON
 //! (default `BENCH_eval.json`) that `scripts/check_bench.py` validates and
@@ -16,14 +21,16 @@
 use nws_bench::{banner, footer};
 use nws_core::scenarios::{abilene_task, janet_task, ring_task};
 use nws_core::{
-    solve_placement, MeasurementTask, PlacementConfig, PlacementObjective, RateModel, ReducedIndex,
-    SreUtility,
+    solve_placement, solve_placement_warm_observed, MeasurementTask, PlacementConfig,
+    PlacementObjective, RateModel, ReducedIndex, SreUtility,
 };
 use nws_linalg::Vector;
 use nws_obs::Recorder;
 use nws_routing::{OdPair, Router};
 use nws_solver::{Direction, Objective};
 use nws_topo::random::ring_with_chords;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -63,6 +70,23 @@ struct SolverResult {
     kkt: bool,
     /// Iterations of the same task and cap under Polak–Ribière.
     pr_iterations: usize,
+}
+
+struct WarmResult {
+    name: String,
+    dim: usize,
+    nnz: usize,
+    draws: usize,
+    /// Median wall time of one warm re-solve.
+    warm_ms: f64,
+    /// Median time inside the solver's `solve` span.
+    solve_ms: f64,
+    /// Median of each re-solve's wall time outside that span.
+    outside_ms: f64,
+    /// Mean iterations per re-solve.
+    iterations: f64,
+    /// Whether every re-solve certified.
+    kkt: bool,
 }
 
 struct ObsResult {
@@ -268,6 +292,82 @@ fn run_solver_case(name: &str, task: &MeasurementTask) -> SolverResult {
     }
 }
 
+/// The median of `xs` (sorted in place).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    xs[xs.len() / 2]
+}
+
+/// `task` with OD `k`'s size scaled by `factors[k]`, over the same routing,
+/// background, θ and α.
+fn rescaled(task: &MeasurementTask, factors: &[f64]) -> MeasurementTask {
+    let sizes: Vec<f64> = task.ods().iter().map(|o| o.size).collect();
+    let tracked = task.routing().link_loads(&sizes);
+    let background: Vec<f64> = task
+        .link_loads()
+        .iter()
+        .zip(&tracked)
+        .map(|(total, t)| (total - t).max(0.0))
+        .collect();
+    let mut b = MeasurementTask::builder(task.topology().clone());
+    for (od, f) in task.ods().iter().zip(factors) {
+        b = b.track(od.name.clone(), od.od, od.size * f);
+    }
+    b.background_loads(&background)
+        .theta(task.theta())
+        .alpha(task.alpha()[0])
+        .build_with_routing(task.routing().clone())
+        .expect("a rescaled task stays valid")
+}
+
+/// Cold-solves `task` once, then re-solves `draws` seeded demand draws
+/// warm from the cold rates, each with its own recorder so the `solve`
+/// span splits the re-solve's wall time.
+fn run_warm_case(name: &str, task: &MeasurementTask, draws: usize) -> WarmResult {
+    let config = PlacementConfig::default();
+    let cold = solve_placement(task, &config).expect("solve succeeds");
+    let index = ReducedIndex::new(task);
+    let nnz = PlacementObjective::new(task, &index, config.rate_model).nnz();
+    let mut rng = StdRng::seed_from_u64(0x7761_726d);
+    let (mut warm, mut solve, mut outside) = (vec![], vec![], vec![]);
+    let (mut iterations, mut kkt) = (0usize, true);
+    for _ in 0..draws {
+        let factors: Vec<f64> = task
+            .ods()
+            .iter()
+            .map(|_| rng.random_range(0.9..1.1))
+            .collect();
+        let drawn = rescaled(task, &factors);
+        let rec = Recorder::enabled();
+        let t0 = Instant::now();
+        let sol = solve_placement_warm_observed(&drawn, &config, &cold.rates, &rec)
+            .expect("warm solve succeeds");
+        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let span_ms = rec
+            .snapshot()
+            .spans
+            .iter()
+            .find(|s| s.name == "solve")
+            .map_or(0.0, |s| s.total_ms);
+        warm.push(wall_ms);
+        solve.push(span_ms);
+        outside.push(wall_ms - span_ms);
+        iterations += sol.diagnostics.iterations;
+        kkt &= sol.kkt_verified;
+    }
+    WarmResult {
+        name: name.to_string(),
+        dim: index.dim(),
+        nnz,
+        draws,
+        warm_ms: median(&mut warm),
+        solve_ms: median(&mut solve),
+        outside_ms: median(&mut outside),
+        iterations: iterations as f64 / draws as f64,
+        kkt,
+    }
+}
+
 /// Measures recorder overhead on the evaluation hot path: the same serial
 /// objective (identical data) with the default no-op sink vs an enabled
 /// `nws-obs` recorder. Run on the large random case — the scale the engine
@@ -317,6 +417,7 @@ fn render_json(
     evals: &[EvalResult],
     fused: &[FusedResult],
     solvers: &[SolverResult],
+    warms: &[WarmResult],
     obs: &ObsResult,
 ) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -371,6 +472,25 @@ fn render_json(
             s.kkt,
             s.pr_iterations,
             if i + 1 < solvers.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"warm_cases\": [\n");
+    for (i, w) in warms.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"dim\": {}, \"nnz\": {}, \"draws\": {}, \
+             \"warm_ms\": {:.4}, \"solve_ms\": {:.4}, \"outside_ms\": {:.4}, \
+             \"iterations\": {:.2}, \"kkt\": {}}}{}\n",
+            w.name,
+            w.dim,
+            w.nnz,
+            w.draws,
+            w.warm_ms,
+            w.solve_ms,
+            w.outside_ms,
+            w.iterations,
+            w.kkt,
+            if i + 1 < warms.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -440,16 +560,33 @@ fn main() {
     println!();
     println!("solver end-to-end:");
     let rand_task = random_task(rand_n, rand_chords);
+    let ring300 = ring_task(300, 4000, 1);
     let solvers = vec![
         run_solver_case("geant_janet", &janet),
         run_solver_case("abilene", &abilene),
         run_solver_case(&format!("random{rand_n}"), &rand_task),
-        run_solver_case("ring300", &ring_task(300, 4000, 1)),
+        run_solver_case("ring300", &ring300),
     ];
     for s in &solvers {
         println!(
             "{:<16} {:>9.1} ms   {} iterations (Polak-Ribiere {}), certified {}",
             s.name, s.serial_ms, s.iterations, s.pr_iterations, s.kkt
+        );
+    }
+
+    println!();
+    println!("warm re-solve after a demand draw (medians):");
+    let draws = if quick { 10 } else { 30 };
+    let warms = vec![
+        run_warm_case("geant_janet", &janet, draws),
+        run_warm_case("ring96", &ring_task(96, 132, 1), draws),
+        run_warm_case("ring300", &ring300, draws),
+    ];
+    for w in &warms {
+        println!(
+            "{:<16} dim {:>4}   warm {:>8.3} ms   solve span {:>8.3} ms   outside {:>8.3} ms   \
+             {:.1} iterations, certified {}",
+            w.name, w.dim, w.warm_ms, w.solve_ms, w.outside_ms, w.iterations, w.kkt
         );
     }
 
@@ -471,7 +608,7 @@ fn main() {
         obs.disabled_ms, obs.enabled_ms, obs.overhead_ratio
     );
 
-    let json = render_json(quick, &evals, &fused, &solvers, &obs);
+    let json = render_json(quick, &evals, &fused, &solvers, &warms, &obs);
     std::fs::write(&out_path, &json).expect("write JSON report");
     println!();
     println!("wrote {out_path}");

@@ -68,14 +68,18 @@ fn main() {
             .fold(f64::INFINITY, f64::min);
         println!(
             "w_sec {w_sec:>5}: TE mean utility {te_mean:.4} | security min effective \
-             rate {sec_min_rho:.6} | monitors {}",
-            sol.active_monitors.len()
+             rate {sec_min_rho:.6} | monitors {} | kkt {} | iterations {}",
+            sol.active_monitors.len(),
+            sol.kkt_verified,
+            sol.iterations
         );
         rows.push(vec![
             w_sec,
             te_mean,
             sec_min_rho,
             sol.active_monitors.len() as f64,
+            if sol.kkt_verified { 1.0 } else { 0.0 },
+            sol.iterations as f64,
         ]);
     }
 
@@ -83,7 +87,14 @@ fn main() {
     print!(
         "{}",
         render_csv(
-            &["w_sec", "te_mean_utility", "sec_min_rho", "monitors"],
+            &[
+                "w_sec",
+                "te_mean_utility",
+                "sec_min_rho",
+                "monitors",
+                "kkt",
+                "iterations"
+            ],
             &rows
         )
     );

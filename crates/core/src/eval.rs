@@ -41,12 +41,13 @@ pub fn evaluate_accuracy(
     assert!(runs > 0, "need at least one run");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(task.ods().len());
+    let exact = solution.effective_rates_exact(task);
     for (k, od) in task.ods().iter().enumerate() {
         // Ground-truth sampling follows the exact union process at the
         // solution's exact effective rate (which accounts for fractional
         // ECMP routing); inversion divides by the approximate ρ, exactly as
         // the deployed estimator would.
-        let rho_exact = solution.effective_rates_exact[k];
+        let rho_exact = exact[k];
         let rho = solution.effective_rates_approx[k];
         let size_pkts = od.size.round().max(0.0) as u64;
         let mut accs = Vec::with_capacity(runs);

@@ -394,15 +394,42 @@ pub struct PlacementObjective<U: Utility = SreUtility> {
 
 impl PlacementObjective<SreUtility> {
     /// Builds the paper's objective for `task` under the given rate model.
+    ///
+    /// The CSR arrays are filled straight from the task's routing rows,
+    /// with no per-OD row and none of [`PlacementObjective::from_parts`]'s
+    /// checks: a task's routing fractions lie in `(0, 1]` and `index` maps
+    /// its links to variables below `index.dim()` by construction.
     pub fn new(task: &MeasurementTask, index: &ReducedIndex, rate_model: RateModel) -> Self {
         let utilities: Vec<SreUtility> = task
             .ods()
             .iter()
             .map(|o| SreUtility::new(o.inv_mean_size))
             .collect();
-        let rows = task_rows(task, index);
-        let weights = vec![1.0; utilities.len()];
-        PlacementObjective::from_parts(utilities, weights, rows, rate_model, index.dim())
+        let routing = task.routing();
+        let mut row_offsets = Vec::with_capacity(routing.num_ods() + 1);
+        let mut row_entries =
+            Vec::with_capacity((0..routing.num_ods()).map(|k| routing.row(k).len()).sum());
+        row_offsets.push(0);
+        for k in 0..routing.num_ods() {
+            row_entries.extend(
+                routing
+                    .row(k)
+                    .iter()
+                    .filter_map(|&(l, r)| index.var(l).map(|v| (v, r))),
+            );
+            row_offsets.push(row_entries.len());
+        }
+        PlacementObjective {
+            core: ObjectiveCore {
+                weights: vec![1.0; utilities.len()],
+                utilities,
+                row_offsets,
+                row_entries,
+                rate_model,
+                dim: index.dim(),
+            },
+            recorder: Recorder::disabled(),
+        }
     }
 }
 
@@ -971,6 +998,28 @@ mod tests {
                 let link = idx.link(v);
                 assert!(task.routing().traverses(k, link));
                 assert_eq!(r, task.routing().entry(k, link));
+            }
+        }
+    }
+
+    #[test]
+    fn direct_build_matches_from_parts() {
+        for task in [small_task(), crate::scenarios::ring_task(24, 30, 1)] {
+            let idx = ReducedIndex::new(&task);
+            let direct = PlacementObjective::new(&task, &idx, RateModel::Exact);
+            let parts = PlacementObjective::from_parts(
+                direct.utilities().to_vec(),
+                vec![1.0; task.ods().len()],
+                task_rows(&task, &idx),
+                RateModel::Exact,
+                idx.dim(),
+            );
+            assert_eq!(direct.core.row_offsets, parts.core.row_offsets);
+            assert_eq!(direct.core.row_entries, parts.core.row_entries);
+            assert_eq!(direct.weights(), parts.weights());
+            assert_eq!(direct.dim(), parts.dim());
+            for (od, u) in task.ods().iter().zip(direct.utilities()) {
+                assert_eq!(*u, SreUtility::new(od.inv_mean_size));
             }
         }
     }

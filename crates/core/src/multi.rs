@@ -99,6 +99,8 @@ pub struct CompositeSolution {
     pub objective: f64,
     /// Whether the KKT conditions were certified.
     pub kkt_verified: bool,
+    /// Solver iterations the joint solve took.
+    pub iterations: usize,
 }
 
 /// Solves several tasks jointly under one capacity `theta`.
@@ -234,6 +236,7 @@ pub fn solve_composite(
         effective_rates,
         objective: sol.value,
         kkt_verified: sol.kkt_verified,
+        iterations: sol.diagnostics.iterations,
     })
 }
 

@@ -28,8 +28,9 @@ pub struct PlacementConfig {
 
 /// Marks a solution the solver could not certify: the rates are feasible
 /// (box + budget) and the best found, but optimality was not verified —
-/// the solve ran out of its [`nws_solver::SolveBudget`] or hit the
-/// iteration cap. Serving layers use this to decide between retrying,
+/// the solve ran out of its [`nws_solver::SolveBudget`], hit the
+/// iteration cap, or found θ below its bound-snap tolerance
+/// ([`TerminationReason::BudgetBelowSnap`]). Serving layers use this to decide between retrying,
 /// escalating to a cold solve, or keeping the last-good configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Degraded {
@@ -47,11 +48,9 @@ pub struct PlacementSolution {
     /// [`ACTIVATION_THRESHOLD`]), in link-id order.
     pub active_monitors: Vec<LinkId>,
     /// Per-OD effective rate under the approximation `ρ = Σ r·p` (eq. (7)) —
-    /// what the estimator divides by.
+    /// what the estimator divides by. The exact rates are computed on
+    /// demand: [`PlacementSolution::effective_rates_exact`].
     pub effective_rates_approx: Vec<f64>,
-    /// Per-OD exact effective rate `1 − Π(1−p)^r` (eq. (1)) — what sampling
-    /// actually delivers.
-    pub effective_rates_exact: Vec<f64>,
     /// Per-OD utility values `M(ρ_k)` at the solution (approximate-rate ρ).
     pub utilities: Vec<f64>,
     /// Objective value `Σ_k M(ρ_k)`.
@@ -81,6 +80,30 @@ impl PlacementSolution {
             .iter()
             .zip(task.link_loads())
             .map(|(&p, &u)| p * u)
+            .collect()
+    }
+
+    /// Per-OD exact effective rate `1 − Π(1−p)^r` (eq. (1)) — what sampling
+    /// actually delivers — over `task`'s candidate links, in routing-row
+    /// order: the same numbers, bit for bit, as an exact-model
+    /// [`PlacementObjective`]'s effective rates at these rates. Rates on
+    /// non-candidate links (a baseline's access links) do not count.
+    ///
+    /// # Panics
+    /// Panics if `task`'s topology has more links than [`Self::rates`].
+    pub fn effective_rates_exact(&self, task: &MeasurementTask) -> Vec<f64> {
+        let index = ReducedIndex::new(task);
+        let routing = task.routing();
+        (0..routing.num_ods())
+            .map(|k| {
+                let miss: f64 = routing
+                    .row(k)
+                    .iter()
+                    .filter(|&&(l, _)| index.var(l).is_some())
+                    .map(|&(l, r)| (1.0 - self.rates[l.index()]).powf(r))
+                    .product();
+                (1.0 - miss).clamp(0.0, 1.0)
+            })
             .collect()
     }
 
@@ -131,31 +154,29 @@ pub fn solve_placement_observed(
     Ok(finish_solution(task, &index, &objective, sol))
 }
 
-/// The per-OD reporting quantities of the reduced rates `p`, all read from
-/// `objective`'s rows whatever its own rate model: the effective rates under
-/// the approximate and the exact model, and each OD's utility at its
-/// approximate rate.
-fn od_report(objective: &PlacementObjective, p: &Vector) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+/// The per-OD reporting quantities of the reduced rates `p`, read from
+/// `objective`'s rows whatever its own rate model: the approximate effective
+/// rates and each OD's utility at its approximate rate.
+fn od_report(objective: &PlacementObjective, p: &Vector) -> (Vec<f64>, Vec<f64>) {
     let approx = objective.effective_rates_under(RateModel::Approximate, p);
-    let exact = objective.effective_rates_under(RateModel::Exact, p);
     let utilities = approx
         .iter()
         .zip(objective.utilities())
         .map(|(&rho, u)| u.value(rho))
         .collect();
-    (approx, exact, utilities)
+    (approx, utilities)
 }
 
 /// Converts a raw solver solution over the reduced variables into the full
-/// reporting structure (rates expanded to topology links, both effective-rate
-/// models evaluated on the solve's own `objective`).
+/// reporting structure (rates expanded to topology links, the approximate
+/// effective rates evaluated on the solve's own `objective`).
 fn finish_solution(
     task: &MeasurementTask,
     index: &ReducedIndex,
     objective: &PlacementObjective,
     sol: nws_solver::Solution,
 ) -> PlacementSolution {
-    let (effective_rates_approx, effective_rates_exact, utilities) = od_report(objective, &sol.p);
+    let (effective_rates_approx, utilities) = od_report(objective, &sol.p);
 
     let rates = index.expand(&sol.p, task.topology().num_links());
     let active_monitors: Vec<LinkId> = task
@@ -169,7 +190,6 @@ fn finish_solution(
         rates,
         active_monitors,
         effective_rates_approx,
-        effective_rates_exact,
         utilities,
         objective: sol.value,
         lambda: sol.lambda,
@@ -294,7 +314,7 @@ pub fn evaluate_rates(task: &MeasurementTask, rates: &[f64]) -> PlacementSolutio
     let reduced: Vector = (0..index.dim())
         .map(|v| rates[index.link(v).index()])
         .collect();
-    let (effective_rates_approx, effective_rates_exact, utilities) = od_report(
+    let (effective_rates_approx, utilities) = od_report(
         &PlacementObjective::new(task, &index, RateModel::Approximate),
         &reduced,
     );
@@ -309,7 +329,6 @@ pub fn evaluate_rates(task: &MeasurementTask, rates: &[f64]) -> PlacementSolutio
         rates: rates.to_vec(),
         active_monitors,
         effective_rates_approx,
-        effective_rates_exact,
         utilities,
         objective,
         lambda: f64::NAN,
@@ -370,8 +389,9 @@ mod tests {
             .unwrap()
     }
 
-    /// Asserts that `sol`'s per-OD report equals, bit for bit, what one
-    /// separately built objective per rate model gives at its rates.
+    /// Asserts that `sol`'s per-OD report, and its exact effective rates on
+    /// demand, equal bit for bit what one separately built objective per
+    /// rate model gives at its rates on the candidate links.
     fn assert_report_matches_separate_builds(task: &MeasurementTask, sol: &PlacementSolution) {
         let index = ReducedIndex::new(task);
         let reduced: Vector = (0..index.dim())
@@ -388,7 +408,7 @@ mod tests {
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&sol.effective_rates_approx), bits(&rho_approx));
         assert_eq!(
-            bits(&sol.effective_rates_exact),
+            bits(&sol.effective_rates_exact(task)),
             bits(&exact.effective_rates(&reduced))
         );
         assert_eq!(bits(&sol.utilities), bits(&utilities));
@@ -455,6 +475,26 @@ mod tests {
     }
 
     #[test]
+    fn budget_below_the_snap_tolerance_is_degraded_not_certified() {
+        // θ = 1e-6 puts every coordinate of the canonical start within the
+        // solver's 1e-12 bound snap of 0.
+        let task =
+            crate::scenarios::janet_task_with(1e-6, crate::scenarios::BACKGROUND_SEED).unwrap();
+        let sol = solve_placement(&task, &PlacementConfig::default()).unwrap();
+        assert!(!sol.kkt_verified);
+        assert_eq!(sol.reason, TerminationReason::BudgetBelowSnap);
+        assert_eq!(
+            sol.degraded,
+            Some(Degraded {
+                reason: TerminationReason::BudgetBelowSnap
+            })
+        );
+        // The plan served instead spends θ rather than nothing.
+        let spent: f64 = sol.capacity_usage(&task).iter().sum();
+        assert!((spent / 1e-6 - 1.0).abs() < 1e-9, "spent {spent}");
+    }
+
+    #[test]
     fn iteration_budget_marks_degraded_via_warm_path() {
         let task = two_od_task(20_000.0);
         let good = solve_placement(&task, &PlacementConfig::default()).unwrap();
@@ -496,7 +536,10 @@ mod tests {
         let task = two_od_task(20_000.0);
         let sol = solve_placement(&task, &PlacementConfig::default()).unwrap();
         for k in 0..task.ods().len() {
-            let (a, e) = (sol.effective_rates_approx[k], sol.effective_rates_exact[k]);
+            let (a, e) = (
+                sol.effective_rates_approx[k],
+                sol.effective_rates_exact(&task)[k],
+            );
             assert!(a >= e - 1e-15, "union bound violated");
             assert!((a - e) / e.max(1e-12) < 0.02, "OD {k}: {a} vs {e}");
         }
@@ -546,13 +589,40 @@ mod tests {
         let eval = evaluate_rates(&task, &sol.rates);
         assert!((eval.objective - sol.objective).abs() < 1e-9);
         assert_eq!(eval.active_monitors, sol.active_monitors);
-        for k in 0..task.ods().len() {
-            assert!((eval.effective_rates_exact[k] - sol.effective_rates_exact[k]).abs() < 1e-12);
-        }
+        assert_eq!(
+            eval.effective_rates_exact(&task),
+            sol.effective_rates_exact(&task)
+        );
         assert_report_matches_separate_builds(&task, &eval);
         let ecmp = ecmp_task();
         let ecmp_sol = solve_placement(&ecmp, &PlacementConfig::default()).unwrap();
         assert_report_matches_separate_builds(&ecmp, &evaluate_rates(&ecmp, &ecmp_sol.rates));
+    }
+
+    #[test]
+    fn exact_rates_ignore_non_candidate_links() {
+        // The naive baseline samples only the JANET access link, which is
+        // not a candidate monitor: its rate reaches no effective rate.
+        let task = crate::scenarios::janet_task();
+        let access = nws_topo::janet_access_link(task.topology());
+        assert!(!task.candidate_links().contains(&access));
+        let naive = crate::baseline::access_link_only(&task, access).unwrap();
+        let mut rates = vec![0.0; task.topology().num_links()];
+        rates[access.index()] = naive.rate;
+        let eval = evaluate_rates(&task, &rates);
+        assert!(eval.effective_rates_exact(&task).iter().all(|&r| r == 0.0));
+        assert_report_matches_separate_builds(&task, &eval);
+        // The same access-link rate on top of the optimum changes nothing.
+        let sol = solve_placement(&task, &PlacementConfig::default()).unwrap();
+        let mut with_access = sol.rates.clone();
+        with_access[access.index()] = naive.rate;
+        let eval = evaluate_rates(&task, &with_access);
+        assert_eq!(
+            eval.effective_rates_exact(&task),
+            sol.effective_rates_exact(&task)
+        );
+        assert_report_matches_separate_builds(&task, &eval);
+        assert_report_matches_separate_builds(&task, &sol);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::CoreError;
 use nws_routing::{OdPair, RoutingMatrix};
 use nws_topo::{LinkId, Topology};
+use std::sync::Arc;
 
 /// One OD pair the operator wants to track, with its ground-truth size.
 #[derive(Debug, Clone)]
@@ -21,10 +22,12 @@ pub struct TrackedOd {
 /// topology, tracked OD set `F`, routing matrix `R`, link loads `U`,
 /// capacity `θ` and per-link rate caps `α` (paper §III).
 ///
-/// Built through [`TaskBuilder`]; immutable afterwards.
+/// Built through [`TaskBuilder`]; immutable afterwards. The topology is
+/// shared, not owned: clones of a task, and tasks built over the same
+/// `Arc<Topology>`, point at one copy.
 #[derive(Debug, Clone)]
 pub struct MeasurementTask {
-    topo: Topology,
+    topo: Arc<Topology>,
     ods: Vec<TrackedOd>,
     routing: RoutingMatrix,
     link_loads: Vec<f64>,
@@ -36,7 +39,7 @@ pub struct MeasurementTask {
 /// Incremental construction of a [`MeasurementTask`].
 #[derive(Debug)]
 pub struct TaskBuilder {
-    topo: Topology,
+    topo: Arc<Topology>,
     ods: Vec<TrackedOd>,
     background_loads: Vec<f64>,
     theta: f64,
@@ -45,8 +48,10 @@ pub struct TaskBuilder {
 }
 
 impl MeasurementTask {
-    /// Starts building a task over `topo`.
-    pub fn builder(topo: Topology) -> TaskBuilder {
+    /// Starts building a task over `topo`: an owned [`Topology`], or an
+    /// `Arc<Topology>` the task then shares instead of copying.
+    pub fn builder(topo: impl Into<Arc<Topology>>) -> TaskBuilder {
+        let topo = topo.into();
         let n_links = topo.num_links();
         TaskBuilder {
             topo,

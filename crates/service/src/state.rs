@@ -177,8 +177,9 @@ struct RoutingEpoch {
     failed: Vec<(String, String)>,
     /// `(src, dst)` node names per tracked OD, in tracking order.
     endpoints: Vec<(String, String)>,
-    /// The post-failure topology.
-    topo: Topology,
+    /// The post-failure topology, shared with every task built over this
+    /// epoch (and with the base topology while no fibre is down).
+    topo: Arc<Topology>,
     /// Base link id → this epoch's link id (`None` for failed links).
     idmap: Vec<Option<LinkId>>,
     routing: RoutingMatrix,
@@ -242,7 +243,8 @@ impl EpochMemo {
 /// The daemon's mutable network state.
 #[derive(Debug, Clone)]
 pub struct ServiceState {
-    base: Topology,
+    /// The base topology, shared by every clone of the state.
+    base: Arc<Topology>,
     /// Failed fibres as canonically ordered endpoint-name pairs.
     failed: Vec<(String, String)>,
     ods: Vec<OdSpec>,
@@ -303,7 +305,7 @@ impl ServiceState {
             })
             .collect();
         ServiceState {
-            base: topo.clone(),
+            base: Arc::new(topo.clone()),
             failed: Vec::new(),
             ods,
             background_base,
@@ -428,8 +430,13 @@ impl ServiceState {
     fn route(&self) -> Result<RoutingEpoch, ServiceError> {
         self.recorder.counter_add("state_routing_builds_total", 1);
         let failed_ids = self.failed_link_ids()?;
-        let topo = without_links(&self.base, &failed_ids)
-            .map_err(|e| ServiceError::State(format!("post-failure topology invalid: {e}")))?;
+        let topo = if failed_ids.is_empty() {
+            Arc::clone(&self.base)
+        } else {
+            let survivors = without_links(&self.base, &failed_ids)
+                .map_err(|e| ServiceError::State(format!("post-failure topology invalid: {e}")))?;
+            Arc::new(survivors)
+        };
         let idmap = link_id_map(&self.base, &failed_ids);
         let mut pairs = Vec::with_capacity(self.ods.len());
         for od in &self.ods {
@@ -465,7 +472,7 @@ impl ServiceState {
             Some(epoch) => epoch,
             None => Arc::new(self.route()?),
         };
-        let mut builder = MeasurementTask::builder(epoch.topo.clone());
+        let mut builder = MeasurementTask::builder(Arc::clone(&epoch.topo));
         for (od, &pair) in self.ods.iter().zip(epoch.routing.ods()) {
             builder = builder.track(od.name.clone(), pair, od.size);
         }
@@ -1430,6 +1437,21 @@ mod tests {
         let inst = s.installed().expect("best-effort rates installed");
         assert!(!inst.kkt);
         assert!(inst.rates_base.iter().all(|&p| (0.0..=1.0).contains(&p)));
+    }
+
+    #[test]
+    fn budget_below_the_snap_tolerance_installs_a_degraded_plan() {
+        let task = nws_core::scenarios::janet_task_with(1e-6, nws_core::scenarios::BACKGROUND_SEED)
+            .unwrap();
+        let mut s = ServiceState::from_task(&task, PlacementConfig::default());
+        let report = s.resolve(false).unwrap();
+        assert!(report.degraded);
+        assert!(!report.kkt);
+        let inst = s.installed().expect("best-effort rates installed");
+        assert!(
+            !inst.kkt,
+            "a plan that never certified is served as degraded"
+        );
     }
 
     #[test]

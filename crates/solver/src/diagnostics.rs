@@ -17,6 +17,13 @@ pub enum TerminationReason {
     /// the returned point is feasible and the best found so far — the
     /// anytime contract a serving daemon relies on.
     DeadlineExceeded,
+    /// The budget is too small for the bound-snap tolerance
+    /// ([`crate::SolverOptions::bound_snap_tol`]): snapping the start onto
+    /// its bounds set every coordinate that carried θ to 0, so the snapped
+    /// point misses θ by more than 1e-9 relative. The solve ends before
+    /// its first iteration and returns the unsnapped start, which is
+    /// feasible but uncertified.
+    BudgetBelowSnap,
 }
 
 /// Convergence diagnostics of one solver run — the quantities the paper

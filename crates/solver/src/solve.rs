@@ -177,10 +177,34 @@ impl Solver {
                 "starting point is not feasible".into(),
             ));
         }
-        let mut p = start;
+        let mut p = start.clone();
         let mut active = ActiveSet::classify(&p, problem, o.bound_snap_tol);
         active.snap(&mut p, problem);
         restore_equality(&mut p, &active, problem);
+        let rhs = problem.eq_rhs();
+        if (problem.eq_normal().dot(&p) - rhs).abs() > 1e-9 * rhs {
+            // The snap tolerance swallowed the budget: every coordinate that
+            // carried θ sat within it of 0. Certifying the snapped point
+            // would serve a plan that samples nothing, so hand back the
+            // (feasible) start, uncertified.
+            let g = obj.gradient(&start);
+            let free = ActiveSet::classify(&start, problem, 0.0);
+            let rep = compute_multipliers(&g, &free, problem, o.multiplier_tol);
+            return Ok(self.finish(
+                obj,
+                problem,
+                start,
+                rep.multipliers.lambda,
+                false,
+                TerminationReason::BudgetBelowSnap,
+                0,
+                0,
+                0,
+                f64::INFINITY,
+                rep.stationarity_residual,
+                Vec::new(),
+            ));
+        }
 
         // Conjugate-direction memory; cleared whenever the active set changes.
         let mut prev_dir: Option<Vector> = None;
@@ -881,6 +905,27 @@ mod tests {
         assert!(!sol.kkt_verified);
         // Still feasible.
         assert!(pb.is_feasible(&sol.p, 1e-6));
+    }
+
+    #[test]
+    fn budget_below_the_snap_tolerance_is_not_certified() {
+        // θ/Σa·u = 1e-13: the canonical start sits within the 1e-12 snap
+        // of 0 on every coordinate, so snapping it would spend nothing.
+        let obj = LogUtil { eps: 1e-6 };
+        let pb = BoxLinearProblem::new(
+            Vector::filled(4, 1.0),
+            Vector::from(vec![1.0, 2.0, 3.0, 4.0]),
+            1e-12,
+        )
+        .unwrap();
+        let sol = Solver::default().maximize(&obj, &pb).unwrap();
+        assert_eq!(sol.reason, TerminationReason::BudgetBelowSnap);
+        assert!(!sol.kkt_verified);
+        assert_eq!(sol.diagnostics.iterations, 0);
+        // The unsnapped start comes back: it spends θ.
+        assert_eq!(sol.p, pb.feasible_start());
+        assert!(pb.is_feasible(&sol.p, 1e-9));
+        assert!(sol.lambda.is_finite() && sol.value.is_finite());
     }
 
     #[test]

@@ -63,12 +63,15 @@ For eval reports, checks in order:
         kernel may never lose to three passes);
       - every solver case certifies (kkt) within the iteration cap, in no
         more iterations than the paper's Polak-Ribiere directions take on
-        the same task and cap (pr_iterations).
+        the same task and cap (pr_iterations);
+      - every warm case (a warm re-solve after each seeded demand draw)
+        certified on every draw (kkt).
 3.  Structural baselines (scripts/bench_baselines.json): num_ods/nnz/dim of
     each case must match exactly — instance drift silently invalidates every
-    committed number — and timing fields are compared within a wide
-    tolerance band (quick mode on shared CI runners jitters; the band only
-    catches order-of-magnitude regressions).
+    committed number — and timing fields (gradient_ms, serial_ms, warm_ms)
+    are compared within a wide tolerance band (quick mode on shared CI
+    runners jitters; the band only catches order-of-magnitude
+    regressions).
 
 Exit code 0 = all gates pass. Nonzero prints every failure, not just the
 first.
@@ -103,6 +106,17 @@ EVAL_FIELDS = (
 )
 FUSED_FIELDS = ("name", "model", "separate_ms", "fused_ms", "fusion_gain")
 SOLVER_FIELDS = ("name", "num_ods", "serial_ms", "iterations", "kkt", "pr_iterations")
+WARM_FIELDS = (
+    "name",
+    "dim",
+    "nnz",
+    "draws",
+    "warm_ms",
+    "solve_ms",
+    "outside_ms",
+    "iterations",
+    "kkt",
+)
 
 failures = []
 
@@ -117,7 +131,7 @@ def finite_positive(xs):
 
 def check_schema(report):
     for key in ("bench", "quick", "available_cores", "obs",
-                "eval_cases", "fused", "solver_cases"):
+                "eval_cases", "fused", "solver_cases", "warm_cases"):
         if key not in report:
             fail(f"schema: missing top-level key {key!r}")
     if failures:
@@ -146,6 +160,19 @@ def check_schema(report):
         for key in SOLVER_FIELDS:
             if key not in case:
                 fail(f"schema: solver case {case.get('name', '?')} missing {key!r}")
+    for case in report["warm_cases"]:
+        for key in WARM_FIELDS:
+            if key not in case:
+                fail(f"schema: warm case {case.get('name', '?')} missing {key!r}")
+        for key in ("draws", "warm_ms", "solve_ms", "iterations"):
+            if key in case and not finite_positive([case[key]]):
+                fail(f"schema: warm {case['name']}.{key} not finite-positive: "
+                     f"{case[key]}")
+        outside = case.get("outside_ms", float("nan"))
+        if not (isinstance(outside, (int, float)) and math.isfinite(outside)
+                and outside >= 0):
+            fail(f"schema: warm {case.get('name', '?')}.outside_ms malformed: "
+                 f"{outside}")
 
 
 def check_perf_gates(report):
@@ -168,6 +195,10 @@ def check_perf_gates(report):
         if case["iterations"] > case["pr_iterations"]:
             fail(f"gates: solver case {case['name']} took {case['iterations']} "
                  f"iterations, more than Polak-Ribiere's {case['pr_iterations']}")
+    # Gate 4: every warm re-solve certifies.
+    for case in report["warm_cases"]:
+        if case["kkt"] is not True:
+            fail(f"gates: warm case {case['name']} left a draw uncertified")
 
 
 def structure_of(report):
@@ -189,6 +220,11 @@ def structure_of(report):
             {"name": c["name"], "num_ods": c["num_ods"], "serial_ms": c["serial_ms"]}
             for c in report["solver_cases"]
         ],
+        "warm_cases": [
+            {"name": c["name"], "dim": c["dim"], "nnz": c["nnz"],
+             "warm_ms": c["warm_ms"]}
+            for c in report["warm_cases"]
+        ],
     }
 
 
@@ -198,7 +234,7 @@ def check_baselines(report):
         return
     base = json.loads(BASELINES.read_text())
     cur = structure_of(report)
-    for section in ("eval_cases", "solver_cases"):
+    for section in ("eval_cases", "solver_cases", "warm_cases"):
         by_key = {(c["name"], c.get("model")): c for c in base.get(section, [])}
         for c in cur[section]:
             key = (c["name"], c.get("model"))
@@ -210,7 +246,7 @@ def check_baselines(report):
                 if field in ref and ref[field] != c[field]:
                     fail(f"baselines: {key} {field} drifted {ref[field]} -> "
                          f"{c[field]} — the instance changed, numbers not comparable")
-            for field in ("gradient_ms_serial", "serial_ms"):
+            for field in ("gradient_ms_serial", "serial_ms", "warm_ms"):
                 if field in ref and ref[field] > 0:
                     r = c[field] / ref[field]
                     if r > TIMING_BAND or r < 1.0 / TIMING_BAND:
@@ -593,7 +629,8 @@ def main():
         return 1
     print(f"check_bench: all perf gates pass "
           f"({len(report['eval_cases'])} eval, {len(report['fused'])} fused, "
-          f"{len(report['solver_cases'])} solver cases; "
+          f"{len(report['solver_cases'])} solver, "
+          f"{len(report['warm_cases'])} warm cases; "
           f"obs ratio {report['obs']['overhead_ratio']:.4f})")
     return 0
 
