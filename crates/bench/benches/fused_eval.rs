@@ -1,5 +1,7 @@
-//! Criterion: the fused single-pass evaluation kernel against the three
-//! separate kernels it replaces — the solver line-search/KKT hot path.
+//! Criterion: the objective's single-pass evaluation kernel in the two
+//! shapes the solver calls it — value, gradient and both directional
+//! derivatives at once (`fused/*`), and a line-search probe's two
+//! directional derivatives alone (`fused_probe/*`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nws_core::scenarios::janet_task;
@@ -23,14 +25,6 @@ fn bench_fused(c: &mut Criterion) {
     ] {
         let obj = PlacementObjective::new(&task, &index, model);
         let mut g = Vector::zeros(dim);
-        group.bench_function(format!("separate/{label}"), |b| {
-            b.iter(|| {
-                black_box(obj.value(black_box(&p)));
-                obj.gradient_into(black_box(&p), &mut g);
-                black_box(&g);
-                black_box(obj.curvature_along(black_box(&p), black_box(&s)));
-            })
-        });
         group.bench_function(format!("fused/{label}"), |b| {
             b.iter(|| {
                 black_box(obj.eval_fused(black_box(&p), Some(black_box(&s)), Some(&mut g)));

@@ -2,21 +2,21 @@
 //!
 //! The objective stores its per-OD sparse routing rows in CSR (compressed
 //! sparse row) form — one flat `(variable, fraction)` array plus row offsets
-//! — and evaluates value/gradient/curvature in one serial sweep over the
-//! rows. A fused single-pass kernel ([`PlacementObjective::eval_fused`])
-//! produces value, gradient, and both directional derivatives from one CSR
-//! sweep. Under the approximate rate model a line search costs one sweep in
-//! all: it records each row's `(ρ_k, r_k·s)` at `t = 0`, and every Newton
-//! probe is answered from those scalars ([`Objective::prepare_line`]). The
-//! same model's curvature `−∇²f = Rᵀ·D·R` is prepared by one sweep that
-//! records each row's `D_k` ([`Objective::prepare_curvature`]).
+//! — and evaluates them with one kernel: a single sweep over the rows
+//! produces the value, the gradient and both directional derivatives
+//! ([`PlacementObjective::eval_fused`]), and every other evaluation is the
+//! same sweep with the parts it does not need left out. Under the
+//! approximate rate model a line search costs one sweep in all: it records
+//! each row's `(ρ_k, r_k·s)` at `t = 0`, and every Newton probe is answered
+//! from those scalars ([`Objective::prepare_line`]). The same model's
+//! curvature `−∇²f = Rᵀ·D·R` is prepared by one sweep that records each
+//! row's `D_k` ([`Objective::prepare_curvature`]).
 
 use crate::{CoreError, MeasurementTask, SreUtility, Utility};
 use nws_linalg::Vector;
 use nws_obs::Recorder;
 use nws_solver::{BoxLinearProblem, CurvatureProbe, LineProbe, Objective, TrialPoints};
 use nws_topo::LinkId;
-use std::ops::Range;
 
 /// How the effective sampling rate `ρ_k(p)` is modelled inside the objective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -147,114 +147,26 @@ impl<U: Utility> ObjectiveCore<U> {
         }
     }
 
-    /// Objective value restricted to the OD rows in `ks`.
-    fn value_over(&self, ks: Range<usize>, p: &Vector) -> f64 {
-        ks.map(|k| self.weights[k] * self.utilities[k].value(self.effective_rate(k, p)))
-            .sum()
-    }
-
-    /// Adds the gradient contributions of the OD rows in `ks` onto `out`.
-    fn accumulate_gradient_over(&self, ks: Range<usize>, p: &Vector, out: &mut [f64]) {
-        for k in ks {
-            let rho = self.effective_rate(k, p);
-            let m1 = self.weights[k] * self.utilities[k].d1(rho);
-            match self.rate_model {
-                RateModel::Approximate => {
-                    for &(v, r) in self.row(k) {
-                        out[v] += m1 * r;
-                    }
-                }
-                RateModel::Exact => {
-                    // ∂ρ/∂p_v = r·(1−ρ)/(1−p_v)
-                    let miss = 1.0 - rho;
-                    for &(v, r) in self.row(k) {
-                        let denom = (1.0 - p[v]).max(1e-12);
-                        out[v] += m1 * r * miss / denom;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Second directional derivative restricted to the OD rows in `ks`.
-    fn curvature_over(&self, ks: Range<usize>, p: &Vector, s: &Vector) -> f64 {
-        let mut total = 0.0;
-        for k in ks {
-            let rho = self.effective_rate(k, p);
-            let w = self.weights[k];
-            let (m1, m2) = (w * self.utilities[k].d1(rho), w * self.utilities[k].d2(rho));
-            match self.rate_model {
-                RateModel::Approximate => {
-                    let drho: f64 = self.row(k).iter().map(|&(v, r)| r * s[v]).sum();
-                    total += m2 * drho * drho;
-                }
-                RateModel::Exact => {
-                    // With m(t) = Π(1−p_v−t·s_v)^r = 1−ρ(t):
-                    //   ρ'  = m·σ₁,   ρ'' = m·(σ₂ − σ₁²)
-                    // where σ₁ = Σ r·s_v/(1−p_v), σ₂ = Σ r·s_v²/(1−p_v)².
-                    let miss = 1.0 - rho;
-                    let mut s1 = 0.0;
-                    let mut s2 = 0.0;
-                    for &(v, r) in self.row(k) {
-                        let q = (1.0 - p[v]).max(1e-12);
-                        s1 += r * s[v] / q;
-                        s2 += r * s[v] * s[v] / (q * q);
-                    }
-                    let drho = miss * s1;
-                    let ddrho = miss * (s2 - s1 * s1);
-                    total += m2 * drho * drho + m1 * ddrho;
-                }
-            }
-        }
-        total
-    }
-
-    /// First directional derivative restricted to the OD rows in `ks`.
-    /// Algebraically identical to contracting the row's gradient with `s`,
-    /// but without materializing a gradient vector.
-    fn dir_derivative_over(&self, ks: Range<usize>, p: &Vector, s: &Vector) -> f64 {
-        ks.map(|k| {
-            let rho = self.effective_rate(k, p);
-            let m1 = self.weights[k] * self.utilities[k].d1(rho);
-            match self.rate_model {
-                RateModel::Approximate => {
-                    m1 * self.row(k).iter().map(|&(v, r)| r * s[v]).sum::<f64>()
-                }
-                RateModel::Exact => {
-                    let miss = 1.0 - rho;
-                    m1 * miss
-                        * self
-                            .row(k)
-                            .iter()
-                            .map(|&(v, r)| r * s[v] / (1.0 - p[v]).max(1e-12))
-                            .sum::<f64>()
-                }
-            }
-        })
-        .sum()
-    }
-
-    /// Fused single-pass kernel over the OD rows in `ks`: value, `φ'(0)` and
-    /// `φ''(0)` along `s` (when given), and the gradient accumulated into
-    /// `grad` (when given) — with `ρ_k`, `M'`, `M''` computed **once** per
-    /// row instead of once per kernel. Returns `(value, derivative,
+    /// The objective's one evaluation kernel, a single sweep over the OD
+    /// rows: the value, `φ'(0)` and `φ''(0)` along `s` (when given), and the
+    /// gradient accumulated into `grad` (when given), with `ρ_k`, `M'` and
+    /// `M''` computed once per row. Returns `(value, derivative,
     /// curvature)`.
     ///
-    /// Memory-traffic argument: for nnz-dominated instances each of the four
-    /// separate kernels streams the whole CSR entry array through the cache;
-    /// the fused kernel streams it once and amortizes the utility-derivative
-    /// evaluations, so a Newton line-search probe (`φ'` + `φ''`) costs one
-    /// sweep instead of two, and the solver's per-iteration value+gradient
-    /// costs one instead of two.
+    /// Every evaluation goes through it, from the solve loop's
+    /// value+gradient to a single `value` or `curvature_along`. It is
+    /// inlined into each caller, so each call shape compiles to its own
+    /// loop: with `s` or `grad` absent that part of the sweep is dropped,
+    /// and so are the utility terms whose result the caller discards.
+    #[inline(always)]
     fn fused_over(
         &self,
-        ks: Range<usize>,
         p: &Vector,
         s: Option<&Vector>,
         mut grad: Option<&mut [f64]>,
     ) -> (f64, f64, f64) {
         let (mut value, mut derivative, mut curvature) = (0.0_f64, 0.0_f64, 0.0_f64);
-        for k in ks {
+        for k in 0..self.num_ods() {
             let rho = self.effective_rate(k, p);
             let w = self.weights[k];
             let u = &self.utilities[k];
@@ -276,6 +188,9 @@ impl<U: Utility> ObjectiveCore<U> {
                     curvature += m2 * drho * drho;
                 }
                 RateModel::Exact => {
+                    // ∂ρ/∂p_v = r·(1−ρ)/(1−p_v). With m(t) = Π(1−p_v−t·s_v)^r
+                    // = 1−ρ(t): ρ' = m·σ₁ and ρ'' = m·(σ₂ − σ₁²), where
+                    // σ₁ = Σ r·s_v/(1−p_v) and σ₂ = Σ r·s_v²/(1−p_v)².
                     let miss = 1.0 - rho;
                     let (mut s1, mut s2) = (0.0_f64, 0.0_f64);
                     for &(v, r) in self.row(k) {
@@ -298,20 +213,20 @@ impl<U: Utility> ObjectiveCore<U> {
         (value, derivative, curvature)
     }
 
-    /// The line-preparation sweep over the OD rows in `ks`: each row's
-    /// unclamped approximate rate `Σ r·p_v` and its slope `Σ r·s_v` along
-    /// `s`, both from one pass over the row, written as a pair per row
-    /// into `out` (row `ks.start` first).
-    fn line_over(&self, ks: Range<usize>, p: &Vector, s: &Vector, out: &mut [f64]) {
-        for (k, pair) in ks.zip(out.chunks_exact_mut(2)) {
+    /// The line-preparation sweep: each row's unclamped approximate rate
+    /// `Σ r·p_v` and its slope `Σ r·s_v` along `s`, both from one pass over
+    /// the row, as a pair per row (row 0 first).
+    fn line_over(&self, p: &Vector, s: &Vector) -> Vec<f64> {
+        let mut rows = Vec::with_capacity(2 * self.num_ods());
+        for k in 0..self.num_ods() {
             let (mut rho, mut slope) = (0.0_f64, 0.0_f64);
             for &(v, r) in self.row(k) {
                 rho += r * p[v];
                 slope += r * s[v];
             }
-            pair[0] = rho;
-            pair[1] = slope;
+            rows.extend([rho, slope]);
         }
+        rows
     }
 
     /// `(φ'(t), φ''(t))` of the approximate model along a prepared line:
@@ -562,13 +477,6 @@ impl<U: Utility> PlacementObjective<U> {
             .map(|k| self.core.rate_under(model, k, p))
             .collect()
     }
-    /// Writes the full gradient into `out` (length `dim`).
-    fn gradient_into_slice(&self, p: &Vector, out: &mut [f64]) {
-        self.recorder.counter_add("eval_calls_total", 1);
-        out.fill(0.0);
-        self.core
-            .accumulate_gradient_over(0..self.core.num_ods(), p, out);
-    }
 
     /// Fused single-CSR-pass evaluation: the objective value, the first and
     /// second directional derivatives along `s` (when given), and the full
@@ -580,26 +488,27 @@ impl<U: Utility> PlacementObjective<U> {
         &self,
         p: &Vector,
         s: Option<&Vector>,
-        mut grad: Option<&mut Vector>,
+        grad: Option<&mut Vector>,
     ) -> FusedEval {
         self.recorder.counter_add("eval_calls_total", 1);
         self.recorder.counter_add("eval_fused_calls_total", 1);
-        let n = self.core.num_ods();
-        let dim = self.core.dim;
-        if let Some(g) = grad.as_mut() {
-            if g.len() != dim {
-                **g = Vector::zeros(dim);
-            } else {
-                g.as_mut_slice().fill(0.0);
-            }
-        }
-        let gslice = grad.map(|g| &mut g.as_mut_slice()[..]);
-        let (value, derivative, curvature) = self.core.fused_over(0..n, p, s, gslice);
+        let grad = grad.map(|g| self.zeroed(g));
+        let (value, derivative, curvature) = self.core.fused_over(p, s, grad);
         FusedEval {
             value,
             derivative,
             curvature,
         }
+    }
+
+    /// `out` as `dim` zeros, its buffer reused when the length fits.
+    fn zeroed<'g>(&self, out: &'g mut Vector) -> &'g mut [f64] {
+        if out.len() == self.core.dim {
+            out.as_mut_slice().fill(0.0);
+        } else {
+            *out = Vector::zeros(self.core.dim);
+        }
+        out.as_mut_slice()
     }
 
     /// The line-preparation sweep of the approximate model: every row's
@@ -608,40 +517,33 @@ impl<U: Utility> PlacementObjective<U> {
     fn line_rows(&self, p: &Vector, s: &Vector) -> Vec<f64> {
         self.recorder.counter_add("eval_calls_total", 1);
         self.recorder.counter_add("eval_fused_calls_total", 1);
-        let n = self.core.num_ods();
-        let mut rows = vec![0.0; 2 * n];
-        self.core.line_over(0..n, p, s, &mut rows);
-        rows
+        self.core.line_over(p, s)
     }
 }
 
+// Each evaluation is one sweep of `ObjectiveCore::fused_over` and counts one
+// `eval_calls_total`; only `eval_fused` and line preparation also count as
+// fused calls.
 impl<U: Utility> Objective for PlacementObjective<U> {
     fn value(&self, p: &Vector) -> f64 {
         self.recorder.counter_add("eval_calls_total", 1);
-        self.core.value_over(0..self.core.num_ods(), p)
+        self.core.fused_over(p, None, None).0
     }
 
     fn gradient(&self, p: &Vector) -> Vector {
         let mut g = Vector::zeros(self.core.dim);
-        self.gradient_into_slice(p, g.as_mut_slice());
+        self.gradient_into(p, &mut g);
         g
     }
 
     fn curvature_along(&self, p: &Vector, s: &Vector) -> f64 {
         self.recorder.counter_add("eval_calls_total", 1);
-        self.core.curvature_over(0..self.core.num_ods(), p, s)
+        self.core.fused_over(p, Some(s), None).2
     }
 
     fn gradient_into(&self, p: &Vector, out: &mut Vector) {
-        if out.len() != self.core.dim {
-            *out = Vector::zeros(self.core.dim);
-        }
-        self.gradient_into_slice(p, out.as_mut_slice());
-    }
-
-    fn directional_derivative(&self, p: &Vector, s: &Vector) -> f64 {
         self.recorder.counter_add("eval_calls_total", 1);
-        self.core.dir_derivative_over(0..self.core.num_ods(), p, s)
+        self.core.fused_over(p, None, Some(self.zeroed(out)));
     }
 
     fn derivatives_along(&self, p: &Vector, s: &Vector) -> (f64, f64) {
@@ -819,44 +721,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_kernel_matches_separate_kernels() {
-        let task = small_task();
-        let idx = ReducedIndex::new(&task);
-        let p: Vector = (0..idx.dim()).map(|v| 2e-3 * (v as f64 + 1.0)).collect();
-        let s: Vector = (0..idx.dim())
-            .map(|v| if v % 3 == 0 { 1.0 } else { -0.4 })
-            .collect();
-        for model in [RateModel::Approximate, RateModel::Exact] {
-            let obj = PlacementObjective::new(&task, &idx, model);
-            let mut grad = Vector::zeros(idx.dim());
-            let fused = obj.eval_fused(&p, Some(&s), Some(&mut grad));
-            let tol = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs()).max(1.0);
-            assert!(tol(fused.value, obj.value(&p)), "{model:?} value");
-            assert!(
-                tol(fused.derivative, obj.directional_derivative(&p, &s)),
-                "{model:?} derivative: {} vs {}",
-                fused.derivative,
-                obj.directional_derivative(&p, &s)
-            );
-            assert!(
-                tol(fused.curvature, obj.curvature_along(&p, &s)),
-                "{model:?} curvature"
-            );
-            let g = obj.gradient(&p);
-            for v in 0..idx.dim() {
-                assert!(tol(grad[v], g[v]), "{model:?} grad var {v}");
-            }
-            // Trait-level fused entry points agree too.
-            let (d, c) = obj.derivatives_along(&p, &s);
-            assert!(tol(d, fused.derivative) && tol(c, fused.curvature));
-            let mut g2 = Vector::zeros(idx.dim());
-            let v2 = obj.value_and_gradient_into(&p, &mut g2);
-            assert!(tol(v2, fused.value));
-            assert_eq!(g2, obj.gradient(&p));
-        }
-    }
-
     /// One random OD term: sparse row, weight, SRE utility constant.
     type OdSpec = (Vec<(usize, f64)>, f64, f64);
 
@@ -947,6 +811,40 @@ mod tests {
         }
     }
 
+    /// Every entry point is a call shape of the one kernel: `value`,
+    /// `gradient`, `curvature_along` and the fused entry points keep
+    /// different outputs of the same sweep, so they agree bit for bit.
+    #[test]
+    fn fused_kernel_matches_separate_kernels() {
+        let task = small_task();
+        let idx = ReducedIndex::new(&task);
+        let p: Vector = (0..idx.dim()).map(|v| 2e-3 * (v as f64 + 1.0)).collect();
+        let s: Vector = (0..idx.dim())
+            .map(|v| if v % 3 == 0 { 1.0 } else { -0.4 })
+            .collect();
+        for model in [RateModel::Approximate, RateModel::Exact] {
+            let obj = PlacementObjective::new(&task, &idx, model);
+            let mut grad = Vector::zeros(idx.dim());
+            let fused = obj.eval_fused(&p, Some(&s), Some(&mut grad));
+            assert_eq!(fused.value, obj.value(&p), "{model:?} value");
+            assert_eq!(
+                fused.curvature,
+                obj.curvature_along(&p, &s),
+                "{model:?} curvature"
+            );
+            assert_eq!(grad, obj.gradient(&p), "{model:?} gradient");
+            assert_eq!(
+                obj.derivatives_along(&p, &s),
+                (fused.derivative, fused.curvature),
+                "{model:?} derivatives_along"
+            );
+            let mut g2 = Vector::zeros(idx.dim());
+            let v2 = obj.value_and_gradient_into(&p, &mut g2);
+            assert_eq!(v2, fused.value, "{model:?} value_and_gradient_into");
+            assert_eq!(g2, grad, "{model:?} value_and_gradient_into");
+        }
+    }
+
     #[test]
     fn gradient_into_reuses_buffer_and_matches() {
         let task = small_task();
@@ -968,14 +866,15 @@ mod tests {
     }
 
     #[test]
-    fn directional_derivative_matches_gradient_contraction() {
+    fn derivatives_along_matches_gradient_contraction() {
         let task = small_task();
         let idx = ReducedIndex::new(&task);
         let p: Vector = (0..idx.dim()).map(|v| 1e-3 * (v as f64 + 1.0)).collect();
         let s: Vector = (0..idx.dim()).map(|v| (v as f64) - 3.0).collect();
         for model in [RateModel::Approximate, RateModel::Exact] {
             let obj = PlacementObjective::new(&task, &idx, model);
-            let direct = obj.directional_derivative(&p, &s);
+            let (direct, curvature) = obj.derivatives_along(&p, &s);
+            assert_eq!(curvature, obj.curvature_along(&p, &s), "{model:?}");
             let contracted = obj.gradient(&p).dot(&s);
             assert!(
                 (direct - contracted).abs() <= 1e-10 * contracted.abs().max(1.0),

@@ -186,85 +186,167 @@ fn build(dim: usize, ods: &[OdSpec], model: RateModel) -> PlacementObjective {
     PlacementObjective::from_parts(utilities, weights, rows, model, dim)
 }
 
+/// `f`, `∇f`, `φ'(0)` and `φ''(0)` along `s`, computed the slow way from
+/// DESIGN.md §1: a dense routing matrix, each OD's rate `ρ_k` from its
+/// formula, and the chain rule through an explicit gradient and Hessian of
+/// every `ρ_k`. It shares nothing with the objective's kernel but the
+/// utility. The cases keep every rate in [0, 0.1], where neither model
+/// clamps `ρ_k` and no `1 − p_i` needs a guard.
+struct Reference {
+    value: f64,
+    gradient: Vec<f64>,
+    derivative: f64,
+    curvature: f64,
+}
+
+fn reference(dim: usize, ods: &[OdSpec], model: RateModel, p: &[f64], s: &[f64]) -> Reference {
+    let mut out = Reference {
+        value: 0.0,
+        gradient: vec![0.0; dim],
+        derivative: 0.0,
+        curvature: 0.0,
+    };
+    for (row, w, c) in ods {
+        let mut r = vec![0.0; dim];
+        for &(i, frac) in row {
+            r[i] += frac;
+        }
+        // ρ_k, ∇ρ_k and ∇²ρ_k.
+        let (rho, grad, hess): (f64, Vec<f64>, Vec<Vec<f64>>) = match model {
+            RateModel::Approximate => (
+                (0..dim).map(|i| r[i] * p[i]).sum(),
+                r.clone(),
+                vec![vec![0.0; dim]; dim],
+            ),
+            RateModel::Exact => {
+                // ρ = 1 − m with m = Π_i (1 − p_i)^{r_i}.
+                let m: f64 = (0..dim).map(|i| (1.0 - p[i]).powf(r[i])).product();
+                let grad = (0..dim).map(|i| r[i] * m / (1.0 - p[i])).collect();
+                let hess = (0..dim)
+                    .map(|i| {
+                        (0..dim)
+                            .map(|j| {
+                                let cross = -m * r[i] * r[j] / ((1.0 - p[i]) * (1.0 - p[j]));
+                                if i == j {
+                                    cross + m * r[i] / ((1.0 - p[i]) * (1.0 - p[i]))
+                                } else {
+                                    cross
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                (1.0 - m, grad, hess)
+            }
+        };
+        let u = SreUtility::new(*c);
+        let (m1, m2) = (w * u.d1(rho), w * u.d2(rho));
+        let slope: f64 = (0..dim).map(|i| grad[i] * s[i]).sum();
+        let bend: f64 = (0..dim)
+            .map(|i| (0..dim).map(|j| s[i] * hess[i][j] * s[j]).sum::<f64>())
+            .sum();
+        out.value += w * u.value(rho);
+        for (g, dr) in out.gradient.iter_mut().zip(&grad) {
+            *g += m1 * dr;
+        }
+        out.derivative += m1 * slope;
+        out.curvature += m2 * slope * slope + m1 * bend;
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The fused single-pass kernel agrees with the separate kernels:
-    /// value, gradient, curvature along `s`, and the directional derivative.
+    /// Every evaluation path of the objective agrees with the naive
+    /// [`reference`]: `value`, `gradient`, `curvature_along`,
+    /// `derivatives_along` and the fused kernel's four outputs.
     #[test]
-    fn fused_kernel_agrees_with_separate_kernels((dim, ods, p, s) in objective_parts()) {
-        let p: Vector = p.into_iter().collect();
-        let s: Vector = s.into_iter().collect();
+    fn fused_kernel_agrees_with_naive_reference((dim, ods, p_raw, s_raw) in objective_parts()) {
+        let p = Vector::from(p_raw.clone());
+        let s = Vector::from(s_raw.clone());
         for model in [RateModel::Approximate, RateModel::Exact] {
             let obj = build(dim, &ods, model);
-            let value = obj.value(&p);
+            let want = reference(dim, &ods, model, &p_raw, &s_raw);
+            let mut fused_g = Vector::zeros(dim);
+            let fused = obj.eval_fused(&p, Some(&s), Some(&mut fused_g));
             let gradient = obj.gradient(&p);
-            let curvature = obj.curvature_along(&p, &s);
-            let dir_scale = gradient.norm_inf() * s.norm_inf() * dim as f64;
-            let mut g = Vector::zeros(dim);
-            let fused = obj.eval_fused(&p, Some(&s), Some(&mut g));
-            prop_assert!(
-                rel_close(value, fused.value, 1e-12),
-                "{model:?}: value {value} vs {}",
-                fused.value
-            );
-            prop_assert!(
-                (fused.derivative - gradient.dot(&s)).abs() <= 1e-12 * dir_scale.max(1.0),
-                "{model:?}: derivative {} vs {}",
-                fused.derivative,
-                gradient.dot(&s)
-            );
-            prop_assert!(
-                (fused.derivative - obj.directional_derivative(&p, &s)).abs()
-                    <= 1e-12 * dir_scale.max(1.0),
-                "{model:?}: derivative {} vs directional {}",
-                fused.derivative,
-                obj.directional_derivative(&p, &s)
-            );
-            prop_assert!(
-                rel_close(curvature, fused.curvature, 1e-12),
-                "{model:?}: curvature {curvature} vs {}",
-                fused.curvature
-            );
-            for v in 0..dim {
+            for (what, g) in [("gradient", &gradient), ("fused", &fused_g)] {
+                for i in 0..dim {
+                    prop_assert!(
+                        rel_close(g[i], want.gradient[i], 1e-12),
+                        "{model:?} {what} var {i}: {} vs {}",
+                        g[i],
+                        want.gradient[i]
+                    );
+                }
+            }
+            for (what, value) in [("value", obj.value(&p)), ("fused", fused.value)] {
                 prop_assert!(
-                    rel_close(gradient[v], g[v], 1e-12),
-                    "{model:?} var {v}: {} vs {}",
-                    gradient[v],
-                    g[v]
+                    rel_close(value, want.value, 1e-12),
+                    "{model:?} {what}: value {value} vs {}",
+                    want.value
+                );
+            }
+            let (d, c) = obj.derivatives_along(&p, &s);
+            for (what, curvature) in [
+                ("curvature_along", obj.curvature_along(&p, &s)),
+                ("derivatives_along", c),
+                ("fused", fused.curvature),
+            ] {
+                prop_assert!(
+                    rel_close(curvature, want.curvature, 1e-12),
+                    "{model:?} {what}: curvature {curvature} vs {}",
+                    want.curvature
+                );
+            }
+            // φ' sums terms of both signs, so its tolerance is absolute in
+            // the gradient's scale.
+            let dir_scale = (gradient.norm_inf() * s.norm_inf() * dim as f64).max(1.0);
+            for (what, derivative) in [("derivatives_along", d), ("fused", fused.derivative)] {
+                prop_assert!(
+                    (derivative - want.derivative).abs() <= 1e-12 * dir_scale,
+                    "{model:?} {what}: derivative {derivative} vs {}",
+                    want.derivative
                 );
             }
         }
     }
 
-    /// `gradient_into` agrees with `gradient`, and the directional
-    /// derivative with the gradient's contraction along `s`.
+    /// `gradient_into` (into a buffer of the wrong size) agrees with the
+    /// naive [`reference`], and the directional derivative `φ'` of
+    /// `derivatives_along` and the fused kernel with the gradient's
+    /// contraction along `s`.
     #[test]
-    fn gradient_into_and_directional_agree((dim, ods, p, s) in objective_parts()) {
-        let p: Vector = p.into_iter().collect();
-        let s: Vector = s.into_iter().collect();
+    fn gradient_into_and_directional_agree((dim, ods, p_raw, s_raw) in objective_parts()) {
+        let p = Vector::from(p_raw.clone());
+        let s = Vector::from(s_raw.clone());
         for model in [RateModel::Approximate, RateModel::Exact] {
             let obj = build(dim, &ods, model);
-            let gradient = obj.gradient(&p);
-            let mut out = Vector::zeros(dim);
-            obj.gradient_into(&p, &mut out);
-            for v in 0..dim {
+            let want = reference(dim, &ods, model, &p_raw, &s_raw);
+            let mut into = Vector::zeros(1);
+            obj.gradient_into(&p, &mut into);
+            prop_assert_eq!(into.len(), dim);
+            for i in 0..dim {
                 prop_assert!(
-                    rel_close(gradient[v], out[v], 1e-12),
-                    "{model:?} var {v}: {} vs {}",
-                    gradient[v],
-                    out[v]
+                    rel_close(into[i], want.gradient[i], 1e-12),
+                    "{model:?} var {i}: {} vs {}",
+                    into[i],
+                    want.gradient[i]
                 );
             }
             // The contraction identity carries float-cancellation noise,
             // so the tolerance is absolute in the gradient's scale.
-            let direct = obj.directional_derivative(&p, &s);
-            let contracted = gradient.dot(&s);
-            let scale = gradient.norm_inf() * s.norm_inf() * dim as f64;
-            prop_assert!(
-                (direct - contracted).abs() <= 1e-12 * scale.max(1.0),
-                "{model:?}: {direct} vs {contracted}"
-            );
+            let contracted = into.dot(&s);
+            let dir_scale = (into.norm_inf() * s.norm_inf() * dim as f64).max(1.0);
+            let (d, _) = obj.derivatives_along(&p, &s);
+            let fused = obj.eval_fused(&p, Some(&s), None);
+            for (what, derivative) in [("derivatives_along", d), ("fused", fused.derivative)] {
+                prop_assert!(
+                    (derivative - contracted).abs() <= 1e-12 * dir_scale,
+                    "{model:?} {what}: {derivative} vs {contracted}"
+                );
+            }
         }
     }
 }

@@ -1,47 +1,26 @@
-//! # nws-linalg — dense linear algebra substrate
+//! # nws-linalg — the workspace's vector type
 //!
-//! Small, self-contained dense linear algebra used by the `nws` workspace:
-//! column vectors ([`Vector`]), row-major matrices ([`Matrix`]), direct
-//! solvers (LU with partial pivoting, Cholesky), and the orthogonal
-//! projections required by the gradient-projection solver in `nws-solver`.
-//!
-//! The crate is deliberately minimal: everything operates on `f64`, sizes are
-//! dynamic, and the algorithms are the classical textbook ones. The problem
-//! sizes in this workspace (tens to a few hundreds of links) make `O(n³)`
-//! direct methods the right tool; no BLAS-style blocking is attempted.
+//! One dynamically-sized column vector of `f64` ([`Vector`]), shared by the
+//! solver, the placement formulation and the benchmarks. The solver needs
+//! no matrices: the projection onto the active constraints (clamped bounds
+//! plus the one budget equality) has a closed form, and the Newton step on
+//! the free face is matrix-free (see `nws-solver`).
 //!
 //! ## Quick example
 //!
 //! ```
-//! use nws_linalg::{Matrix, Vector};
+//! use nws_linalg::Vector;
 //!
-//! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]);
-//! let b = Vector::from(vec![1.0, 2.0]);
-//! let x = a.solve(&b).unwrap();
-//! let r = &a.mul_vec(&x) - &b;
-//! assert!(r.norm2() < 1e-12);
+//! let mut p = Vector::from(vec![0.25, 0.5]);
+//! let s = Vector::from(vec![1.0, -1.0]);
+//! p.axpy(0.25, &s);
+//! assert_eq!(p.as_slice(), &[0.5, 0.25]);
+//! assert!((s.norm2() - 2f64.sqrt()).abs() < 1e-15);
 //! ```
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cholesky;
-mod error;
-mod matrix;
-mod projection;
-mod solve;
 mod vector;
 
-pub use cholesky::Cholesky;
-pub use error::LinalgError;
-pub use matrix::Matrix;
-pub use projection::{project_out, projector_onto_nullspace};
-pub use solve::Lu;
 pub use vector::Vector;
-
-/// Convenience result alias for fallible linear-algebra operations.
-pub type Result<T> = std::result::Result<T, LinalgError>;
-
-/// Absolute tolerance used by the crate when deciding whether a pivot or a
-/// norm is "numerically zero".
-pub const EPS: f64 = 1e-12;

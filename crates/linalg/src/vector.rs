@@ -60,11 +60,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector, returning the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterator over components.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.data.iter()
@@ -82,11 +77,6 @@ impl Vector {
     /// Euclidean (L2) norm.
     pub fn norm2(&self) -> f64 {
         self.dot(self).sqrt()
-    }
-
-    /// L1 norm (sum of absolute values).
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
     }
 
     /// L∞ norm (maximum absolute value); 0 for the empty vector.
@@ -336,7 +326,6 @@ mod tests {
     fn norms() {
         let v = Vector::from(vec![3.0, -4.0]);
         assert_eq!(v.norm2(), 5.0);
-        assert_eq!(v.norm1(), 7.0);
         assert_eq!(v.norm_inf(), 4.0);
     }
 

@@ -1,26 +1,11 @@
-//! Property-based tests for the linear-algebra substrate.
+//! Property-based tests for the vector type.
 
-use nws_linalg::{Cholesky, Lu, Matrix, Vector};
+use nws_linalg::Vector;
 use proptest::prelude::*;
 
 /// Strategy producing a vector of `n` reasonable finite floats.
 fn vec_of(n: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-100.0..100.0f64, n)
-}
-
-/// Strategy producing a well-conditioned SPD matrix `M·Mᵀ + n·I` of size `n`.
-fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
-    vec_of(n * n).prop_map(move |data| {
-        let m = Matrix::from_row_major(n, n, data);
-        let mut spd = m.mul_mat(&m.transpose());
-        // Diagonal shift keeps the spectrum away from zero. The entries of
-        // M·Mᵀ are bounded by n·100², so a shift of n·100 keeps the condition
-        // number manageable without hiding the off-diagonal structure.
-        for i in 0..n {
-            spd[(i, i)] += n as f64 * 100.0;
-        }
-        spd
-    })
 }
 
 proptest! {
@@ -50,73 +35,5 @@ proptest! {
         in_place.axpy(alpha, &vb);
         let via_ops = &va + &vb.scaled(alpha);
         prop_assert!(in_place.approx_eq(&via_ops, 1e-9));
-    }
-
-    #[test]
-    fn transpose_is_involutive(data in vec_of(12)) {
-        let m = Matrix::from_row_major(3, 4, data);
-        prop_assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn matmul_associates_with_vector(data in vec_of(9), x in vec_of(3)) {
-        // (A·A)·x == A·(A·x)
-        let a = Matrix::from_row_major(3, 3, data);
-        let vx = Vector::from(x);
-        let lhs = a.mul_mat(&a).mul_vec(&vx);
-        let rhs = a.mul_vec(&a.mul_vec(&vx));
-        prop_assert!(lhs.approx_eq(&rhs, 1e-6 * (1.0 + lhs.norm_inf())));
-    }
-
-    #[test]
-    fn lu_solve_residual_small(m in spd_matrix(5), b in vec_of(5)) {
-        let vb = Vector::from(b);
-        let x = Lu::factor(&m).unwrap().solve(&vb).unwrap();
-        let resid = (&m.mul_vec(&x) - &vb).norm_inf();
-        prop_assert!(resid < 1e-6, "residual {resid}");
-    }
-
-    #[test]
-    fn cholesky_matches_lu_on_spd(m in spd_matrix(4), b in vec_of(4)) {
-        let vb = Vector::from(b);
-        let x_lu = Lu::factor(&m).unwrap().solve(&vb).unwrap();
-        let x_ch = Cholesky::factor(&m).unwrap().solve(&vb).unwrap();
-        prop_assert!(x_lu.approx_eq(&x_ch, 1e-6 * (1.0 + x_lu.norm_inf())));
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity(m in spd_matrix(4)) {
-        let inv = m.inverse().unwrap();
-        prop_assert!(m.mul_mat(&inv).approx_eq(&Matrix::identity(4), 1e-6));
-    }
-
-    #[test]
-    fn determinant_of_product(m in spd_matrix(3)) {
-        // det(M·M) == det(M)² for our SPD samples.
-        let d = m.determinant().unwrap();
-        let d2 = m.mul_mat(&m).determinant().unwrap();
-        prop_assert!((d2 - d * d).abs() <= 1e-6 * d.abs().max(1.0) * d.abs().max(1.0));
-    }
-
-    #[test]
-    fn projection_removes_constraint_components(
-        normal in vec_of(6).prop_filter("nonzero", |v| v.iter().any(|x| x.abs() > 1.0)),
-        v in vec_of(6),
-    ) {
-        let a = Matrix::from_row_major(1, 6, normal);
-        let pv = nws_linalg::project_out(&a, &Vector::from(v)).unwrap();
-        let along = a.mul_vec(&pv);
-        prop_assert!(along.norm_inf() < 1e-6 * (1.0 + pv.norm_inf()) * (1.0 + a.norm_frobenius()));
-    }
-
-    #[test]
-    fn projection_is_contractive(
-        normal in vec_of(6).prop_filter("nonzero", |v| v.iter().any(|x| x.abs() > 1.0)),
-        v in vec_of(6),
-    ) {
-        let a = Matrix::from_row_major(1, 6, normal);
-        let vv = Vector::from(v);
-        let pv = nws_linalg::project_out(&a, &vv).unwrap();
-        prop_assert!(pv.norm2() <= vv.norm2() + 1e-9);
     }
 }

@@ -58,7 +58,7 @@ impl NewtonLineSearch {
         // The line is prepared once and serves every φ'/φ'' probe of this
         // search ([`Objective::prepare_line`]). Each Newton probe needs both
         // derivatives at the same `t`; the boundary check at `t_max` only
-        // needs the sign of φ', so it asks for φ' alone.
+        // reads the sign of φ', so only φ' must be finite there.
         let mut line = obj.prepare_line(p, s);
         let (d0, c0) = derivatives(&mut *line, 0.0)?;
         if d0 <= 0.0 {
@@ -67,7 +67,7 @@ impl NewtonLineSearch {
         if t_max == 0.0 {
             return Ok(LineSearchOutcome::NoProgress);
         }
-        let d_end = finite("φ'", t_max, line.derivative(t_max))?;
+        let d_end = finite("φ'", t_max, line.derivatives(t_max).0)?;
         if d_end >= 0.0 {
             return Ok(LineSearchOutcome::ReachedMax);
         }
@@ -127,18 +127,11 @@ fn finite(what: &str, t: f64, v: f64) -> Result<f64> {
 pub trait LineProbe {
     /// `(φ'(t), φ''(t))`.
     fn derivatives(&mut self, t: f64) -> (f64, f64);
-
-    /// `φ'(t)` alone; the default drops `φ''` from
-    /// [`LineProbe::derivatives`].
-    fn derivative(&mut self, t: f64) -> f64 {
-        self.derivatives(t).0
-    }
 }
 
 /// The default [`LineProbe`]: every probe forms the trial point `p + t·s`
 /// in one reused buffer and evaluates the objective there
-/// ([`Objective::derivatives_along`], or
-/// [`Objective::directional_derivative`] when only `φ'` is asked for).
+/// ([`Objective::derivatives_along`]).
 pub struct TrialPoints<'a, O: ?Sized> {
     obj: &'a O,
     p: &'a Vector,
@@ -156,23 +149,13 @@ impl<'a, O: Objective + ?Sized> TrialPoints<'a, O> {
             x: p.clone(),
         }
     }
-
-    fn trial(&mut self, t: f64) -> &Vector {
-        self.x.copy_from(self.p);
-        self.x.axpy(t, self.s);
-        &self.x
-    }
 }
 
 impl<O: Objective + ?Sized> LineProbe for TrialPoints<'_, O> {
     fn derivatives(&mut self, t: f64) -> (f64, f64) {
-        let (obj, s) = (self.obj, self.s);
-        obj.derivatives_along(self.trial(t), s)
-    }
-
-    fn derivative(&mut self, t: f64) -> f64 {
-        let (obj, s) = (self.obj, self.s);
-        obj.directional_derivative(self.trial(t), s)
+        self.x.copy_from(self.p);
+        self.x.axpy(t, self.s);
+        self.obj.derivatives_along(&self.x, self.s)
     }
 }
 

@@ -30,29 +30,16 @@ pub trait Objective {
         *out = self.gradient(p);
     }
 
-    /// First directional derivative along `s` at `p`: `∇f(p)·s`.
-    ///
-    /// The trial-point line probe ([`TrialPoints`]) evaluates this at the
-    /// segment end; the default materializes the full gradient, while
-    /// separable objectives can compute the contraction directly without
-    /// forming it. Overrides must agree with `gradient(p).dot(s)` up to
-    /// float rounding.
-    fn directional_derivative(&self, p: &Vector, s: &Vector) -> f64 {
-        self.gradient(p).dot(s)
-    }
-
     /// Both directional derivatives along `s` at `p`:
     /// `(∇f(p)·s, sᵀ·∇²f(p)·s)`.
     ///
     /// A Newton line-search probe needs exactly this pair; objectives with a
     /// fused evaluation kernel (one sweep producing both) should override
-    /// it, halving the per-probe data traffic. The default delegates to the
-    /// two separate methods and must stay consistent with them.
+    /// it, halving the per-probe data traffic. The default contracts the
+    /// full gradient with `s` and calls [`Objective::curvature_along`];
+    /// overrides must agree with it up to float rounding.
     fn derivatives_along(&self, p: &Vector, s: &Vector) -> (f64, f64) {
-        (
-            self.directional_derivative(p, s),
-            self.curvature_along(p, s),
-        )
+        (self.gradient(p).dot(s), self.curvature_along(p, s))
     }
 
     /// Writes the gradient at `p` into `out` (resizing if needed) and
@@ -359,9 +346,8 @@ mod tests {
         let mut out = Vector::zeros(1); // wrong size on purpose; must be replaced
         obj.gradient_into(&p, &mut out);
         assert_eq!(out, obj.gradient(&p));
-        assert_eq!(obj.directional_derivative(&p, &s), obj.gradient(&p).dot(&s));
         let (d, c) = obj.derivatives_along(&p, &s);
-        assert_eq!(d, obj.directional_derivative(&p, &s));
+        assert_eq!(d, obj.gradient(&p).dot(&s));
         assert_eq!(c, obj.curvature_along(&p, &s));
         let mut g = Vector::zeros(1);
         let v = obj.value_and_gradient_into(&p, &mut g);
@@ -372,7 +358,6 @@ mod tests {
         let mut x = p.clone();
         x.axpy(0.75, &s);
         assert_eq!(line.derivatives(0.75), obj.derivatives_along(&x, &s));
-        assert_eq!(line.derivative(0.75), obj.directional_derivative(&x, &s));
     }
 
     fn simple() -> BoxLinearProblem {

@@ -9,8 +9,8 @@ use nws_linalg::Vector;
 ///
 /// For this problem's constraint structure — axis-aligned bounds plus a
 /// single dense equality — the general projector `I − Aᵀ(AAᵀ)⁻¹A` collapses
-/// to the closed form implemented here (the `nws-linalg` projector is used
-/// by the tests as the oracle):
+/// to the closed form implemented here (the tests check it against the
+/// conditions that define the orthogonal projection):
 ///
 /// ```text
 /// d_i = 0                                  if i clamped
@@ -49,7 +49,7 @@ pub fn project_gradient(g: &Vector, active: &ActiveSet, problem: &BoxLinearProbl
 mod tests {
     use super::*;
     use crate::VarState;
-    use nws_linalg::Matrix;
+    use proptest::prelude::*;
 
     fn problem(n: usize, a: &[f64]) -> BoxLinearProblem {
         BoxLinearProblem::new(Vector::filled(n, 1.0), Vector::from(a), 0.5).unwrap()
@@ -77,29 +77,88 @@ mod tests {
         assert!((d[1] - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn matches_general_projector_oracle() {
-        // Build the equivalent constraint matrix (equality row + one row per
-        // clamped coordinate) and compare with nws-linalg's projector.
-        let a_coefs = [3.0, 7.0, 2.0, 5.0];
-        let pb = problem(4, &a_coefs);
-        let mut active = ActiveSet::all_free(4);
-        active.set(2, VarState::AtUpper);
+    /// A projection case: loads `a` log-uniform in [1e-3, 1e7] with about
+    /// a quarter of the columns copies of earlier ones, a gradient `g` of
+    /// mixed signs over six decades, and a clamp pattern that is random, all
+    /// free, or all clamped.
+    fn projection_case() -> impl Strategy<Value = (Vec<f64>, Vec<f64>, Vec<VarState>)> {
+        (1usize..=64).prop_flat_map(|n| {
+            (
+                prop::collection::vec((-3.0f64..7.0, 0usize..4, 0usize..64), n..=n),
+                prop::collection::vec((-3.0f64..3.0, any::<bool>()), n..=n),
+                prop::collection::vec(0usize..3, n..=n),
+                0usize..4,
+            )
+                .prop_map(|(cols, grads, states, pattern)| {
+                    let mut a: Vec<f64> = Vec::with_capacity(cols.len());
+                    for (i, &(exp, dup, from)) in cols.iter().enumerate() {
+                        a.push(if i > 0 && dup == 0 {
+                            a[from % i]
+                        } else {
+                            10f64.powf(exp)
+                        });
+                    }
+                    let g = grads
+                        .iter()
+                        .map(|&(exp, neg)| if neg { -1.0 } else { 1.0 } * 10f64.powf(exp))
+                        .collect();
+                    let state = |code: usize| match code {
+                        0 => VarState::Free,
+                        1 => VarState::AtLower,
+                        _ => VarState::AtUpper,
+                    };
+                    let states = match pattern {
+                        0 => states.iter().map(|&c| state(1 + c % 2)).collect(),
+                        1 => vec![VarState::Free; states.len()],
+                        _ => states.into_iter().map(state).collect(),
+                    };
+                    (a, g, states)
+                })
+        })
+    }
 
-        let g = Vector::from(vec![1.0, -1.0, 2.0, 0.3]);
-        let fast = project_gradient(&g, &active, &pb);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
-        let rows: Vec<Vec<f64>> = vec![
-            a_coefs.to_vec(),
-            vec![0.0, 0.0, 1.0, 0.0], // clamped coordinate normal e_2
-        ];
-        let row_refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let a_mat = Matrix::from_rows(&row_refs);
-        let oracle = nws_linalg::project_out(&a_mat, &g).unwrap();
-        assert!(
-            fast.approx_eq(&oracle, 1e-10),
-            "fast {fast} vs oracle {oracle}"
-        );
+        /// `d` is the orthogonal projection of `g` onto the subspace
+        /// `{d : d_i = 0 when i is clamped, a·d = 0}`: it lies in that
+        /// subspace, and `g − d` is orthogonal to it, which on the free
+        /// coordinates `F` means `(g − d)_F` is parallel to `a_F`. Those
+        /// three conditions fix the projection uniquely.
+        #[test]
+        fn satisfies_the_projection_conditions((a, g, states) in projection_case()) {
+            let n = a.len();
+            // θ = 0 keeps every load vector feasible; the projection ignores θ.
+            let loads = Vector::from(a.clone());
+            let pb = BoxLinearProblem::new(Vector::filled(n, 1.0), loads, 0.0).unwrap();
+            let mut active = ActiveSet::all_free(n);
+            for (i, &st) in states.iter().enumerate() {
+                active.set(i, st);
+            }
+            let d = project_gradient(&Vector::from(g.clone()), &active, &pb);
+            let free: Vec<usize> = (0..n).filter(|&i| active.is_free(i)).collect();
+            // Euclidean norm over the free coordinates (0 when none is free).
+            let norm = |x: &dyn Fn(usize) -> f64| {
+                free.iter().map(|&i| x(i) * x(i)).sum::<f64>().sqrt()
+            };
+            let (a_norm, g_norm) = (norm(&|i| a[i]), norm(&|i| g[i]));
+            for i in (0..n).filter(|&i| !active.is_free(i)) {
+                prop_assert!(d[i] == 0.0, "clamped d[{}] = {}", i, d[i]);
+            }
+            let a_dot_d: f64 = (0..n).map(|i| a[i] * d[i]).sum();
+            prop_assert!(
+                a_dot_d.abs() <= 1e-12 * a_norm * g_norm,
+                "a·d = {} against ‖a_F‖ {} and ‖g_F‖ {}", a_dot_d, a_norm, g_norm
+            );
+            // Least-squares fit of r = (g − d)_F on a_F: r ≈ λ·a_F.
+            let r = |i: usize| g[i] - d[i];
+            let lambda = free.iter().map(|&i| a[i] * r(i)).sum::<f64>() / (a_norm * a_norm);
+            let residual = norm(&|i| r(i) - lambda * a[i]);
+            prop_assert!(
+                residual <= 1e-12 * g_norm,
+                "(g − d)_F is {} off the line of a_F, ‖g_F‖ = {}", residual, g_norm
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 #
 #   eval   objective-evaluation micro-benchmark (--quick) producing
 #          BENCH_eval.json, then scripts/check_bench.py enforcing the
-#          blocking perf gates (obs overhead <= 1.05, fused-kernel win) plus
-#          the committed structural baselines.
+#          blocking perf gates (obs overhead <= 1.05, every solver and warm
+#          case certified) plus the committed structural baselines.
 #   replay scenario-engine accuracy sweep: generate the bench trace, replay
 #          it at budgets 1/4/12 in reactive and forecast modes producing
 #          BENCH_replay.json, double-run determinism check, then
@@ -46,8 +46,8 @@ cd "$(dirname "$0")/.."
 stage_eval() {
     cargo run --release -p nws-bench --bin eval_bench -- --quick --out BENCH_eval.json
     echo "bench smoke OK: $(pwd)/BENCH_eval.json"
-    # Perf gates: schema, obs overhead (<= 1.05), fused-kernel win, and
-    # structural baselines. Blocking in CI.
+    # Perf gates: schema, obs overhead (<= 1.05), certified solver and
+    # warm cases, and structural baselines. Blocking in CI.
     python3 scripts/check_bench.py BENCH_eval.json
 }
 

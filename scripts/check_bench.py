@@ -58,9 +58,8 @@ For eval reports, checks in order:
 1.  Schema: the report carries every expected section and field, all
     numbers finite and positive.
 2.  Perf gates (hard):
-      - obs overhead_ratio <= OBS_RATIO_MAX;
-      - every fused case: fusion_gain >= FUSED_FLOOR (the single-pass
-        kernel may never lose to three passes);
+      - obs overhead_ratio <= OBS_RATIO_MAX (the median over alternating
+        pairs of the enabled/disabled recorder's batched gradient time);
       - every solver case certifies (kkt) within the iteration cap, in no
         more iterations than the paper's Polak-Ribiere directions take on
         the same task and cap (pr_iterations);
@@ -83,7 +82,6 @@ import sys
 from pathlib import Path
 
 OBS_RATIO_MAX = 1.05  # recorder overhead gate (matches bench_smoke.sh)
-FUSED_FLOOR = 0.95  # fused may never lose to separate (0.05 timer noise)
 TIMING_BAND = 8.0  # baseline timing ratio band (order-of-magnitude net)
 
 # Replay gates. Gaps are relative optimality gaps (dimensionless); the pad
@@ -104,7 +102,6 @@ EVAL_FIELDS = (
     "gradient_ms",
     "curvature_ms",
 )
-FUSED_FIELDS = ("name", "model", "separate_ms", "fused_ms", "fusion_gain")
 SOLVER_FIELDS = ("name", "num_ods", "serial_ms", "iterations", "kkt", "pr_iterations")
 WARM_FIELDS = (
     "name",
@@ -131,7 +128,7 @@ def finite_positive(xs):
 
 def check_schema(report):
     for key in ("bench", "quick", "available_cores", "obs",
-                "eval_cases", "fused", "solver_cases", "warm_cases"):
+                "eval_cases", "solver_cases", "warm_cases"):
         if key not in report:
             fail(f"schema: missing top-level key {key!r}")
     if failures:
@@ -148,14 +145,6 @@ def check_schema(report):
             if key in case and not finite_positive([case[key]]):
                 fail(f"schema: {case['name']}/{case['model']}.{key} not "
                      f"finite-positive: {case[key]}")
-    for case in report["fused"]:
-        for key in FUSED_FIELDS:
-            if key not in case:
-                fail(f"schema: fused case {case.get('name', '?')} missing {key!r}")
-        for key in ("separate_ms", "fused_ms", "fusion_gain"):
-            if not finite_positive([case.get(key, -1)]):
-                fail(f"schema: fused {case.get('name', '?')}.{key} malformed: "
-                     f"{case.get(key)}")
     for case in report["solver_cases"]:
         for key in SOLVER_FIELDS:
             if key not in case:
@@ -180,13 +169,7 @@ def check_perf_gates(report):
     ratio = report["obs"]["overhead_ratio"]
     if ratio > OBS_RATIO_MAX:
         fail(f"gates: obs overhead_ratio {ratio:.4f} > {OBS_RATIO_MAX}")
-    # Gate 2: the fused kernel must win.
-    for case in report["fused"]:
-        if case["fusion_gain"] < FUSED_FLOOR:
-            fail(f"gates: fused {case['name']}/{case['model']} gain "
-                 f"{case['fusion_gain']:.3f} < {FUSED_FLOOR} — fusion lost "
-                 f"to separate kernels")
-    # Gate 3: the default direction certifies, never slower than the
+    # Gate 2: the default direction certifies, never slower than the
     # paper's path.
     for case in report["solver_cases"]:
         if case["kkt"] is not True:
@@ -195,7 +178,7 @@ def check_perf_gates(report):
         if case["iterations"] > case["pr_iterations"]:
             fail(f"gates: solver case {case['name']} took {case['iterations']} "
                  f"iterations, more than Polak-Ribiere's {case['pr_iterations']}")
-    # Gate 4: every warm re-solve certifies.
+    # Gate 3: every warm re-solve certifies.
     for case in report["warm_cases"]:
         if case["kkt"] is not True:
             fail(f"gates: warm case {case['name']} left a draw uncertified")
@@ -628,7 +611,7 @@ def main():
             print(f"  - {f}", file=sys.stderr)
         return 1
     print(f"check_bench: all perf gates pass "
-          f"({len(report['eval_cases'])} eval, {len(report['fused'])} fused, "
+          f"({len(report['eval_cases'])} eval, "
           f"{len(report['solver_cases'])} solver, "
           f"{len(report['warm_cases'])} warm cases; "
           f"obs ratio {report['obs']['overhead_ratio']:.4f})")
