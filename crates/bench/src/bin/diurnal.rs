@@ -1,19 +1,20 @@
 //! §I quantified — a synthetic day of evolving traffic under different
-//! monitoring policies.
+//! re-solve budgets.
 //!
 //! The paper's opening argument: traffic varies on short and long
 //! timescales, so "these changes quickly make a static placement of traffic
-//! monitors perform sub-optimally". This experiment runs 48 half-hourly-ish
-//! intervals of a diurnal cycle (3× swing, 20 % noise, and OD peaks
-//! staggered across time zones) over the GEANT/JANET task and compares: a
-//! static configuration, hourly
-//! re-optimization, and per-interval re-optimization — all warm-started, as
-//! the router-embedded deployment model allows.
+//! monitors perform sub-optimally". This experiment generates 48 intervals
+//! of a diurnal cycle (3× swing, 20 % noise, and OD peaks staggered across
+//! time zones) over the GEANT/JANET task and replays it through the
+//! scenario engine under three reactive budgets: a static configuration
+//! (only the first interval re-solves), a re-solve every 12 intervals, and
+//! one every interval, all warm-started. Every interval scores the plan in
+//! force against an oracle that re-solves it; background traffic stays at
+//! its base loads.
 
+use nws_bench::simulate::{diurnal_day, run_day, POLICIES};
 use nws_bench::{banner, footer, mean};
 use nws_core::report::render_csv;
-use nws_core::scenarios::janet_task;
-use nws_core::simulate::{run_simulation, EvolutionParams, Policy};
 
 fn main() {
     let t0 = banner(
@@ -21,54 +22,36 @@ fn main() {
         "static vs re-optimized monitoring over a synthetic day",
     );
 
-    let base = janet_task();
-    let params = EvolutionParams {
-        diurnal_swing: 3.0,
-        period: 48,
-        noise_cv: 0.2,
-        phase_spread: 0.4,
-    };
-    let n = 48;
-    let seed = 20041122;
-
-    let policies = [
-        ("static", Policy::Static),
-        ("reopt every 12", Policy::ReoptimizeEvery(12)),
-        ("reopt every 1", Policy::ReoptimizeEvery(1)),
-    ];
-
-    let mut series = Vec::new();
-    for (label, policy) in policies {
-        let out = run_simulation(&base, policy, &params, n, seed).expect("simulates");
-        let objectives: Vec<f64> = out.iter().map(|o| o.objective).collect();
-        let worst: Vec<f64> = out.iter().map(|o| o.worst_utility).collect();
+    let (oracle, series) =
+        run_day(&diurnal_day(), &POLICIES.map(|(_, n)| n)).expect("every interval solves");
+    for ((label, _), out) in POLICIES.iter().zip(&series) {
+        let delivered: Vec<f64> = out.per_tick.iter().map(|s| s.delivered).collect();
         println!(
-            "{label:<16}: mean objective {:.4} | mean worst-OD utility {:.4} | min worst-OD {:+.4}",
-            mean(&objectives),
-            mean(&worst),
-            worst.iter().cloned().fold(f64::INFINITY, f64::min)
+            "{label:<16}: resolves {:>2} | mean objective {:.4} | mean gap {:.3e} | max gap {:.3e} \
+             | err p50/p90/p99 {:.4}/{:.4}/{:.4}",
+            out.resolves,
+            mean(&delivered),
+            out.mean_gap,
+            out.max_gap,
+            out.err_p50,
+            out.err_p90,
+            out.err_p99
         );
-        series.push(out);
     }
 
     println!();
-    let rows: Vec<Vec<f64>> = (0..n)
-        .map(|t| {
-            vec![
-                t as f64,
-                series[0][t].multiplier,
-                series[0][t].objective,
-                series[1][t].objective,
-                series[2][t].objective,
-            ]
+    let rows: Vec<Vec<f64>> = oracle
+        .iter()
+        .enumerate()
+        .map(|(t, o)| {
+            let mut row = vec![t as f64, o.objective];
+            row.extend(series.iter().map(|s| s.per_tick[t].delivered));
+            row
         })
         .collect();
     print!(
         "{}",
-        render_csv(
-            &["interval", "multiplier", "static", "reopt_12", "reopt_1"],
-            &rows
-        )
+        render_csv(&["tick", "oracle", "static", "reopt_12", "reopt_1"], &rows)
     );
 
     footer(t0);

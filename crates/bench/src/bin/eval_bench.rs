@@ -1,8 +1,9 @@
 //! Micro-benchmark of the objective-evaluation engine: `value`, `gradient`
 //! and `curvature_along` through the `Objective` trait, the recorder
 //! overhead, plus solver end-to-end timings, on GEANT, Abilene, a ~500-node
-//! random topology and the 300-PoP `ring_task(300, 4000, 1)`. Each solver
-//! case also records whether the solve certified (`kkt`) and its iteration
+//! random topology and the 300-PoP `ring_task(300, 4000, 1)`. A solver
+//! case's `serial_ms` is the median of five cold solves; it also records
+//! whether the solve certified (`kkt`) and its iteration
 //! count under the paper's Polak–Ribière directions with the same cap
 //! (`pr_iterations`).
 //! The warm cases time the fixed cost of a warm re-solve at three sizes:
@@ -230,13 +231,25 @@ fn random_task(n: usize, chords: usize) -> MeasurementTask {
         .expect("synthetic task is valid")
 }
 
-/// Solves `task` under the default config (iteration cap 2000), then again
-/// with Polak–Ribière directions for `pr_iterations`.
+/// Cold solves timed per solver case: one cold solve of identical work
+/// reads anywhere in a 2× range, so `serial_ms` is their median.
+const SOLVER_REPEATS: usize = 5;
+
+/// Solves `task` [`SOLVER_REPEATS`] times under the default config
+/// (iteration cap 2000), then once with Polak–Ribière directions for
+/// `pr_iterations`.
 fn run_solver_case(name: &str, task: &MeasurementTask) -> SolverResult {
     let mut config = PlacementConfig::default();
-    let t0 = Instant::now();
-    let sol = solve_placement(task, &config).expect("solve succeeds");
-    let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut times = Vec::with_capacity(SOLVER_REPEATS);
+    let mut sol = None;
+    for _ in 0..SOLVER_REPEATS {
+        let t0 = Instant::now();
+        let solved = solve_placement(task, &config).expect("solve succeeds");
+        times.push(t0.elapsed().as_secs_f64() * 1e3);
+        sol = Some(solved);
+    }
+    let sol = sol.expect("at least one solve");
+    let serial_ms = median(&mut times);
     config.solver.direction = Direction::PolakRibiere;
     let pr = solve_placement(task, &config).expect("solve succeeds");
     SolverResult {

@@ -26,6 +26,8 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod simulate;
+
 use nws_core::PlacementConfig;
 use nws_solver::{Direction, SolverOptions};
 use std::time::Instant;

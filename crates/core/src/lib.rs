@@ -31,8 +31,6 @@
 //! * [`planning`] — capacity planning: the minimal `θ` reaching a target
 //!   worst-OD utility (the inverse of Figure 2).
 //! * [`scenarios`] — the reconstructed GEANT/JANET workload of §V.
-//! * [`simulate`] — multi-interval closed-loop simulation of evolving
-//!   traffic vs re-optimization policies (§I's dynamic argument).
 //! * [`taskfile`] — a plain-text task-specification format so the optimizer
 //!   can be driven from the command line (see the `nws-cli` crate).
 //! * [`report`] — Table I / Figure 2 style text and CSV rendering.
@@ -69,7 +67,6 @@ mod placement;
 pub mod planning;
 pub mod report;
 pub mod scenarios;
-pub mod simulate;
 mod task;
 pub mod taskfile;
 mod utility;

@@ -28,10 +28,11 @@ pub struct PlacementConfig {
 
 /// Marks a solution the solver could not certify: the rates are feasible
 /// (box + budget) and the best found, but optimality was not verified —
-/// the solve ran out of its [`nws_solver::SolveBudget`], hit the
-/// iteration cap, or found θ below its bound-snap tolerance
-/// ([`TerminationReason::BudgetBelowSnap`]). Serving layers use this to decide between retrying,
-/// escalating to a cold solve, or keeping the last-good configuration.
+/// the solve hit its iteration cap or its wall-clock deadline
+/// ([`nws_solver::SolverOptions::deadline`]), or found θ below its
+/// bound-snap tolerance ([`TerminationReason::BudgetBelowSnap`]). Serving
+/// layers use this to decide between retrying, escalating to a cold solve,
+/// or keeping the last-good configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Degraded {
     /// Why certification was not reached.
@@ -456,10 +457,7 @@ mod tests {
         let mut config = PlacementConfig::default();
         // A deadline already in the past: the solver must hand back its
         // (feasible) starting iterate rather than erroring or spinning.
-        config.solver.budget = nws_solver::SolveBudget {
-            max_iters: None,
-            deadline: Some(std::time::Instant::now()),
-        };
+        config.solver.deadline = Some(std::time::Instant::now());
         let sol = solve_placement(&task, &config).unwrap();
         assert!(!sol.kkt_verified);
         assert_eq!(
@@ -499,7 +497,7 @@ mod tests {
         let task = two_od_task(20_000.0);
         let good = solve_placement(&task, &PlacementConfig::default()).unwrap();
         let mut config = PlacementConfig::default();
-        config.solver.budget.max_iters = Some(1);
+        config.solver.max_iterations = 1;
         let sol = solve_placement_warm(&task, &config, &good.rates).unwrap();
         // One iteration from the optimum may or may not certify; the marker
         // must agree with kkt_verified either way.

@@ -305,6 +305,32 @@ mod tests {
     }
 
     #[test]
+    fn noiseless_series_spans_size_to_swing_times_size() {
+        let s = base();
+        let cfg = GeneratorConfig {
+            ticks: 8,
+            period: 8,
+            diurnal_swing: 3.0,
+            noise_cv: 0.0,
+            phase_spread: 0.0,
+            flash_crowds: 0,
+            link_flaps: 0,
+            ..GeneratorConfig::default()
+        };
+        let trace = generate_trace(&s, &cfg);
+        for (k, (name, size)) in trace.header.ods.iter().enumerate() {
+            let series: Vec<f64> = trace.ticks.iter().map(|t| t.demands[k].1 / size).collect();
+            let lo = series.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = series.iter().cloned().fold(0.0, f64::max);
+            assert!((lo - 1.0).abs() < 0.01, "{name}: trough {lo}");
+            assert!(
+                (hi - cfg.diurnal_swing).abs() < 0.01 * cfg.diurnal_swing,
+                "{name}: peak {hi}"
+            );
+        }
+    }
+
+    #[test]
     fn flappable_fibres_exclude_stranding_cuts() {
         let s = base();
         let safe = flappable_fibres(&s);

@@ -27,7 +27,9 @@
 //! certified objective is the best any policy could deliver. Scoring
 //! compares the replayed state's *delivered* objective (installed rates
 //! evaluated against the tick's true task, via
-//! [`ServiceState::evaluate_installed`]) against the oracle's, plus
+//! [`ServiceState::evaluate_installed`], which scores a plan that
+//! overspends θ on the tick's loads scaled down to θ) against the
+//! oracle's, plus
 //! per-OD relative errors derived from the utility model: the paper's
 //! utility is `A_k = 1 − E[SRE_k]`, so `√(1 − A_k)` is the expected
 //! relative error of OD `k`'s estimate.

@@ -1,13 +1,14 @@
 //! End-to-end replay coverage: determinism for a fixed seed, the
 //! accuracy-vs-budget ordering the CI gate asserts, forecast-vs-reactive
-//! at equal budget, and the observability counters a replay emits.
+//! at equal budget, re-solving every tick against a static plan, stale
+//! plans scored within θ, and the observability counters a replay emits.
 
 use nws_core::scenarios::janet_task;
 use nws_core::PlacementConfig;
 use nws_obs::Recorder;
 use nws_scenario::{
     bench_report, generate_trace, oracle_series, run_replay, run_sweep, GeneratorConfig, Mode,
-    ReplayPolicy, Trace,
+    ReplayOutcome, ReplayPolicy, Trace,
 };
 use nws_service::ServiceState;
 
@@ -26,6 +27,22 @@ fn day() -> Trace {
             link_flaps: 1,
             flap_duration: 4,
             seed: 4242,
+            ..GeneratorConfig::default()
+        },
+    )
+}
+
+/// The `diurnal` experiment's day: noisier, wider-staggered demand and no
+/// flash crowd or link flap, so only the budget schedules re-solves.
+fn calm_day() -> Trace {
+    generate_trace(
+        &base(),
+        &GeneratorConfig {
+            noise_cv: 0.2,
+            phase_spread: 0.4,
+            flash_crowds: 0,
+            link_flaps: 0,
+            seed: 20041122,
             ..GeneratorConfig::default()
         },
     )
@@ -61,6 +78,20 @@ fn oracle_gap_grows_as_the_budget_shrinks() {
     let oracle = oracle_series(&s, &trace).unwrap();
     let entries = run_sweep(&s, &trace, &oracle, &[1, 4, 12], 0.0, &rec).unwrap();
     assert_eq!(entries.len(), 6);
+    // No stale plan beats the certified oracle: one that overspends θ on
+    // the tick's loads is scored scaled down to θ.
+    for e in &entries {
+        for tick in &e.outcome.per_tick {
+            assert!(
+                tick.gap >= -1e-12,
+                "{} every {}: tick {} gap {}",
+                e.outcome.policy.mode.name(),
+                e.outcome.policy.resolve_every,
+                tick.t,
+                tick.gap
+            );
+        }
+    }
 
     let gap = |mode: &Mode, n: u64| {
         entries
@@ -124,6 +155,35 @@ fn oracle_gap_grows_as_the_budget_shrinks() {
         assert!(row.get("mean_gap").unwrap().as_f64().unwrap().is_finite());
         assert!(row.get("resolves").unwrap().as_u64().unwrap() > 0);
     }
+}
+
+#[test]
+fn resolving_every_tick_never_delivers_less_than_a_static_plan() {
+    let s = base();
+    let trace = calm_day();
+    let oracle = oracle_series(&s, &trace).unwrap();
+    let rec = Recorder::disabled();
+    let ticks = trace.ticks.len() as u64;
+    let replay = |n| run_replay(&s, &trace, &ReplayPolicy::reactive(n), &oracle, &rec).unwrap();
+    let (fresh, stale) = (replay(1), replay(ticks));
+    for (a, b) in fresh.per_tick.iter().zip(&stale.per_tick) {
+        assert!(
+            a.delivered >= b.delivered * (1.0 - 1e-12),
+            "tick {}: every tick {} < static {}",
+            a.t,
+            a.delivered,
+            b.delivered
+        );
+    }
+    let mean = |o: &ReplayOutcome| {
+        o.per_tick.iter().map(|x| x.delivered).sum::<f64>() / o.per_tick.len() as f64
+    };
+    assert!(
+        mean(&fresh) > mean(&stale),
+        "every tick {} !> static {}",
+        mean(&fresh),
+        mean(&stale)
+    );
 }
 
 #[test]

@@ -547,7 +547,7 @@ fn accept_loop<'scope>(
                 // accepts nothing must not look healthy.
                 read.recorder.counter_add("daemon_accept_errors_total", 1);
                 accept_errors = accept_errors.saturating_add(1);
-                if accept_errors % ACCEPT_ERROR_LOG_EVERY == 0 {
+                if accept_errors.is_multiple_of(ACCEPT_ERROR_LOG_EVERY) {
                     eprintln!(
                         "nws serve: accept has failed {accept_errors} times \
                          since the last accepted connection (latest: {e}); retrying"

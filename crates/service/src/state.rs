@@ -34,7 +34,6 @@ use nws_core::{
 use nws_obs::Recorder;
 use nws_routing::failure::{bidirectional_pair, link_id_map, without_links};
 use nws_routing::{OdPair, RoutingMatrix};
-use nws_solver::SolveBudget;
 use nws_topo::{LinkId, Topology};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -485,25 +484,39 @@ impl ServiceState {
     }
 
     /// The current epoch's task and the installed rates in its link
-    /// indexing.
+    /// indexing, as the network would run them: a plan that overspends θ
+    /// on the current loads (traffic grew since it was solved, or θ
+    /// shrank) is scaled uniformly down to θ, since the routers cap
+    /// sampling at the budget. A certified plan spends θ to rounding and
+    /// comes back unscaled.
     fn installed_now(&self) -> Result<(MeasurementTask, Vec<f64>), ServiceError> {
         let inst = self
             .installed
             .as_ref()
             .ok_or_else(|| ServiceError::State("no configuration installed yet".into()))?;
         let (task, epoch) = self.rebuild()?;
-        Ok((task, epoch.to_epoch(&inst.rates_base)))
+        let mut rates = epoch.to_epoch(&inst.rates_base);
+        let spend: f64 = rates
+            .iter()
+            .zip(task.link_loads())
+            .map(|(p, u)| p * u)
+            .sum();
+        if spend > task.theta() * (1.0 + 1e-9) {
+            let c = task.theta() / spend;
+            rates.iter_mut().for_each(|p| *p *= c);
+        }
+        Ok((task, rates))
     }
 
     /// The per-attempt solver config: the shared [`PlacementConfig`] with
-    /// this solve's budget (wall-clock deadline and/or chaos iteration
-    /// cap) stamped in.
+    /// this solve's wall-clock deadline stamped in and its iteration cap
+    /// lowered to the chaos cap, if any.
     fn budgeted_config(&self) -> PlacementConfig {
         let mut config = self.config;
-        config.solver.budget = SolveBudget {
-            max_iters: self.chaos.max_iters,
-            deadline: self.solve_deadline.map(|d| Instant::now() + d),
-        };
+        config.solver.deadline = self.solve_deadline.map(|d| Instant::now() + d);
+        if let Some(cap) = self.chaos.max_iters {
+            config.solver.max_iterations = config.solver.max_iterations.min(cap);
+        }
         config
     }
 
@@ -654,7 +667,9 @@ impl ServiceState {
     /// Evaluates the *installed* rates against the *current* spec's task:
     /// the objective and per-OD utilities the network actually delivers
     /// right now, which lag the optimum whenever the spec has moved since
-    /// the installing solve. Returns `(objective, per-OD utilities)` in
+    /// the installing solve. A plan that overspends θ on the current loads
+    /// is evaluated scaled uniformly down to θ, as the routers would run
+    /// it. Returns `(objective, per-OD utilities)` in
     /// tracked-OD order. This is the delivered side of the replay oracle
     /// comparison; the oracle side is a fresh [`ServiceState::resolve`] on
     /// the same spec.
@@ -837,7 +852,9 @@ impl ServiceState {
     }
 
     /// Monte-Carlo accuracy of the installed configuration against the
-    /// current epoch's task: `(mean, worst, best)` over ODs.
+    /// current epoch's task, scaled down to θ like
+    /// [`ServiceState::evaluate_installed`]: `(mean, worst, best)` over
+    /// ODs.
     ///
     /// # Errors
     /// [`ServiceError::State`] when no configuration is installed or the
@@ -1276,6 +1293,41 @@ mod tests {
         assert!(report.warm_started && report.kkt);
         let (delivered, _) = s.evaluate_installed().unwrap();
         assert!((delivered - report.objective).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_plan_over_theta_is_scored_scaled_down_to_theta() {
+        let mut s = fresh();
+        let theta = s.theta();
+        s.mutate_spec(&Request::SetTheta { theta: theta / 2.0 })
+            .unwrap();
+        // No re-solve: the installed plan now spends twice the budget, and
+        // the network runs it at half rate.
+        let (task, epoch) = s.rebuild().unwrap();
+        let halved: Vec<f64> = epoch
+            .to_epoch(&s.installed().unwrap().rates_base)
+            .iter()
+            .map(|p| p / 2.0)
+            .collect();
+        let expected = evaluate_rates(&task, &halved);
+        let (delivered, utilities) = s.evaluate_installed().unwrap();
+        assert!(
+            (delivered - expected.objective).abs() <= 1e-12 * expected.objective,
+            "delivered {delivered} vs halved plan {}",
+            expected.objective
+        );
+        for (a, b) in utilities.iter().zip(&expected.utilities) {
+            assert!((a - b).abs() <= 1e-12, "utility {a} vs {b}");
+        }
+        let summary = summarize(&evaluate_accuracy(&task, &expected, 40, 7));
+        let (mean, worst, best) = s.accuracy(40, 7).unwrap();
+        for (a, b) in [
+            (mean, summary.mean),
+            (worst, summary.worst),
+            (best, summary.best),
+        ] {
+            assert!((a - b).abs() <= 1e-12, "accuracy {a} vs {b}");
+        }
     }
 
     #[test]

@@ -12,10 +12,11 @@ pub enum TerminationReason {
     /// returned point is feasible and the best found, but not certified
     /// (paper §IV-D caps at 2000 iterations and reports 98.6 % success).
     IterationLimit,
-    /// The wall-clock deadline in [`crate::SolveBudget`] expired before
-    /// certifying optimality. As with [`TerminationReason::IterationLimit`],
-    /// the returned point is feasible and the best found so far — the
-    /// anytime contract a serving daemon relies on.
+    /// The wall-clock deadline ([`crate::SolverOptions::deadline`])
+    /// expired before certifying optimality. As with
+    /// [`TerminationReason::IterationLimit`], the returned point is
+    /// feasible and the best found so far — the anytime contract a serving
+    /// daemon relies on.
     DeadlineExceeded,
     /// The budget is too small for the bound-snap tolerance
     /// ([`crate::SolverOptions::bound_snap_tol`]): snapping the start onto

@@ -79,7 +79,7 @@ pub use line_search::{LineProbe, LineSearchOutcome, NewtonLineSearch, TrialPoint
 pub use newton::CurvatureProbe;
 pub use problem::{BoxLinearProblem, Objective};
 pub use projection::project_gradient;
-pub use solve::{Direction, SolveBudget, Solver, SolverOptions};
+pub use solve::{Direction, Solver, SolverOptions};
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, SolverError>;

@@ -10,33 +10,6 @@ use nws_linalg::Vector;
 use nws_obs::Recorder;
 use std::time::Instant;
 
-/// A resource budget for one solve, independent of the convergence-quality
-/// knobs in [`SolverOptions`]: the solver stops early when either limit is
-/// reached and returns the best *feasible* iterate found so far, marked
-/// with [`TerminationReason::IterationLimit`] /
-/// [`TerminationReason::DeadlineExceeded`] instead of erroring. The
-/// default budget is unlimited (only [`SolverOptions::max_iterations`]
-/// applies).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolveBudget {
-    /// Extra iteration cap on top of [`SolverOptions::max_iterations`]
-    /// (the effective cap is the minimum of the two).
-    pub max_iters: Option<usize>,
-    /// Wall-clock deadline; checked once per iteration, so the overrun is
-    /// bounded by one iteration's work.
-    pub deadline: Option<Instant>,
-}
-
-impl SolveBudget {
-    /// A budget expiring `ms` milliseconds from now.
-    pub fn with_deadline_ms(ms: u64) -> Self {
-        SolveBudget {
-            max_iters: None,
-            deadline: Some(Instant::now() + std::time::Duration::from_millis(ms)),
-        }
-    }
-}
-
 /// How the solve loop picks its search direction on the current face.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Direction {
@@ -62,6 +35,8 @@ pub enum Direction {
 pub struct SolverOptions {
     /// Iteration cap — a new iteration starts whenever a new search
     /// direction is computed (the paper's counting; its cap is 2000, §IV-D).
+    /// Reaching it ends the solve with
+    /// [`TerminationReason::IterationLimit`] and the best feasible iterate.
     pub max_iterations: usize,
     /// Projected-gradient convergence tolerance, relative to the gradient's
     /// infinity norm. A candidate point passing this test must additionally
@@ -84,9 +59,11 @@ pub struct SolverOptions {
     pub record_objective: bool,
     /// The 1-D line-search engine.
     pub line_search: NewtonLineSearch,
-    /// Per-solve resource budget (iterations / wall clock); unlimited by
-    /// default. See [`SolveBudget`].
-    pub budget: SolveBudget,
+    /// Wall-clock deadline, checked once per iteration (so the overrun is
+    /// bounded by one iteration's work). Reaching it ends the solve with
+    /// [`TerminationReason::DeadlineExceeded`] and the best feasible
+    /// iterate instead of an error. `None` (the default) sets no deadline.
+    pub deadline: Option<Instant>,
 }
 
 impl Default for SolverOptions {
@@ -99,7 +76,7 @@ impl Default for SolverOptions {
             direction: Direction::default(),
             record_objective: false,
             line_search: NewtonLineSearch::default(),
-            budget: SolveBudget::default(),
+            deadline: None,
         }
     }
 }
@@ -217,21 +194,14 @@ impl Solver {
         let mut bounds_hit = 0usize;
         let mut iterations = 0usize;
         let mut last_proj_norm = f64::INFINITY;
-        // Written in the stationary branches, read by the finish() call inside them.
-        #[allow(unused_assignments)]
-        let mut last_resid = f64::INFINITY;
 
         let mut trajectory: Vec<f64> = Vec::new();
         // Gradient buffer reused across iterations (objectives with a
         // `gradient_into` override fill it without allocating).
         let mut g = Vector::zeros(problem.dim());
-        let iter_cap = o
-            .budget
-            .max_iters
-            .map_or(o.max_iterations, |m| m.min(o.max_iterations));
         let mut overrun_reason = TerminationReason::IterationLimit;
-        while iterations < iter_cap {
-            if let Some(deadline) = o.budget.deadline {
+        while iterations < o.max_iterations {
+            if let Some(deadline) = o.deadline {
                 if Instant::now() >= deadline {
                     overrun_reason = TerminationReason::DeadlineExceeded;
                     break;
@@ -266,7 +236,6 @@ impl Solver {
             if stationary {
                 let _phase = rec.span("kkt_check");
                 let rep = compute_multipliers(&g, &active, problem, o.multiplier_tol);
-                last_resid = rep.stationarity_residual;
                 if rep.negative.is_empty() {
                     // A small projected gradient is necessary but — on stiff
                     // valley floors, where conjugate iterates pass through
@@ -305,7 +274,7 @@ impl Solver {
                         releases,
                         bounds_hit,
                         last_proj_norm,
-                        last_resid,
+                        rep.stationarity_residual,
                         trajectory,
                     ));
                 }
@@ -425,41 +394,10 @@ impl Solver {
                         continue;
                     }
                     // The pure projection made no numerical progress away
-                    // from bounds: only treat as stationary when it really
-                    // is small; a large-gradient stall otherwise burns one
-                    // iteration and retries (bounded by the iteration cap).
-                    if last_proj_norm <= o.grad_tol * scale {
-                        let _phase = rec.span("kkt_check");
-                        let rep = compute_multipliers(&g, &active, problem, o.multiplier_tol);
-                        last_resid = rep.stationarity_residual;
-                        if rep.negative.is_empty() {
-                            return Ok(self.finish(
-                                obj,
-                                problem,
-                                p,
-                                rep.multipliers.lambda,
-                                true,
-                                TerminationReason::KktSatisfied,
-                                iterations,
-                                releases,
-                                bounds_hit,
-                                last_proj_norm,
-                                last_resid,
-                                trajectory,
-                            ));
-                        }
-                        let &worst = rep
-                            .negative
-                            .iter()
-                            .min_by(|&&i, &&j| {
-                                rep.multipliers.bound[i]
-                                    .partial_cmp(&rep.multipliers.bound[j])
-                                    .expect("finite multipliers")
-                            })
-                            .expect("non-empty negative set");
-                        active.set(worst, VarState::Free);
-                        releases += 1;
-                    }
+                    // from bounds. It is not small (a small one took the
+                    // stationary branch above), so this large-gradient stall
+                    // burns one iteration and retries (bounded by the
+                    // iteration cap).
                     prev_dir = None;
                     prev_proj = None;
                 }
@@ -902,9 +840,44 @@ mod tests {
         });
         let sol = solver.maximize(&obj, &pb).unwrap();
         assert_eq!(sol.reason, TerminationReason::IterationLimit);
+        assert_eq!(sol.diagnostics.iterations, 1);
         assert!(!sol.kkt_verified);
         // Still feasible.
         assert!(pb.is_feasible(&sol.p, 1e-6));
+    }
+
+    #[test]
+    fn budget_iteration_cap_tightens_max_iterations() {
+        // A solve budget is a deadline plus an iteration cap that lowers
+        // `max_iterations`. With the deadline generous, every cap below
+        // what the unbudgeted solve needs ends it after exactly that many
+        // iterations, at a feasible but uncertified point.
+        let obj = LogUtil { eps: 1e-6 };
+        let pb = BoxLinearProblem::new(
+            Vector::filled(4, 1.0),
+            Vector::from(vec![1.0, 2.0, 3.0, 4.0]),
+            1.0,
+        )
+        .unwrap();
+        let needed = Solver::default()
+            .maximize(&obj, &pb)
+            .unwrap()
+            .diagnostics
+            .iterations;
+        assert!(needed > 1, "the unbudgeted solve took {needed} iteration");
+        for cap in 1..needed {
+            let sol = Solver::new(SolverOptions {
+                max_iterations: cap,
+                deadline: Some(Instant::now() + std::time::Duration::from_secs(600)),
+                ..SolverOptions::default()
+            })
+            .maximize(&obj, &pb)
+            .unwrap();
+            assert_eq!(sol.reason, TerminationReason::IterationLimit, "cap {cap}");
+            assert_eq!(sol.diagnostics.iterations, cap);
+            assert!(!sol.kkt_verified, "cap {cap}");
+            assert!(pb.is_feasible(&sol.p, 1e-6), "cap {cap}");
+        }
     }
 
     #[test]
@@ -929,29 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_iteration_cap_tightens_max_iterations() {
-        let obj = LogUtil { eps: 1e-6 };
-        let pb = BoxLinearProblem::new(
-            Vector::filled(4, 1.0),
-            Vector::from(vec![1.0, 2.0, 3.0, 4.0]),
-            1.0,
-        )
-        .unwrap();
-        let solver = Solver::new(SolverOptions {
-            budget: SolveBudget {
-                max_iters: Some(1),
-                deadline: None,
-            },
-            ..SolverOptions::default()
-        });
-        let sol = solver.maximize(&obj, &pb).unwrap();
-        assert_eq!(sol.reason, TerminationReason::IterationLimit);
-        assert_eq!(sol.diagnostics.iterations, 1);
-        assert!(!sol.kkt_verified);
-        assert!(pb.is_feasible(&sol.p, 1e-6));
-    }
-
-    #[test]
     fn expired_deadline_returns_feasible_point_not_error() {
         let obj = LogUtil { eps: 1e-6 };
         let pb = BoxLinearProblem::new(
@@ -963,10 +913,7 @@ mod tests {
         // A deadline already in the past: the loop must exit before the
         // first iteration and still return the (feasible) starting point.
         let solver = Solver::new(SolverOptions {
-            budget: SolveBudget {
-                max_iters: None,
-                deadline: Some(Instant::now()),
-            },
+            deadline: Some(Instant::now()),
             ..SolverOptions::default()
         });
         let sol = solver.maximize(&obj, &pb).unwrap();
@@ -987,7 +934,7 @@ mod tests {
         .unwrap();
         let unbudgeted = Solver::default().maximize(&obj, &pb).unwrap();
         let budgeted = Solver::new(SolverOptions {
-            budget: SolveBudget::with_deadline_ms(600_000),
+            deadline: Some(Instant::now() + std::time::Duration::from_secs(600)),
             ..SolverOptions::default()
         })
         .maximize(&obj, &pb)

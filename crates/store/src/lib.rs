@@ -16,9 +16,10 @@
 //!   returns the WAL suffix after it for the caller to replay, and
 //!   *truncates* the log at the first torn or corrupt record instead of
 //!   failing (a torn tail is the expected artifact of a crash mid-append).
-//! - **Locking** — a `LOCK` file carrying the owner PID, with stale-lock
-//!   detection by PID liveness, so two daemons can never silently
-//!   interleave appends into one directory (see [`lock`]).
+//! - **Locking** — an exclusive `flock` on a `LOCK` file that carries the
+//!   owner's PID, so two daemons can never silently interleave appends
+//!   into one directory; the kernel drops the lock when its owner dies,
+//!   so a crash leaves no stale lock behind (see [`lock`]).
 //! - **Fsync policy** — [`FsyncPolicy`] trades durability against append
 //!   latency: `always` syncs every append, `every-N` amortizes, `never`
 //!   leaves syncing to the OS. Every policy still flushes to the kernel per

@@ -1,119 +1,96 @@
-//! PID-carrying lockfiles with liveness-based stale detection.
+//! The state directory's `LOCK` file, held with an exclusive `flock`.
 //!
 //! The daemon must never let two processes interleave appends into one
-//! state directory. A `LOCK` file holding the owner's PID provides mutual
-//! exclusion; a lock whose PID is no longer alive (the previous daemon
-//! crashed) is *stale* and silently reclaimed — crash recovery must not
-//! require manual lockfile cleanup.
+//! state directory. The owner holds an exclusive advisory lock on `LOCK`
+//! for as long as it runs, and writes its PID into the file for error
+//! messages. The kernel drops the lock when its owner dies, so a crashed
+//! daemon leaves no stale lock to reclaim: crash recovery needs no manual
+//! lockfile cleanup, and whatever PID the old file still holds is simply
+//! overwritten.
 
-use std::fs;
+use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io::Write;
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::StoreError;
 
 /// File name of the lock inside a state directory.
 pub const LOCK_FILE: &str = "LOCK";
 
-/// A held directory lock; releases (deletes the lockfile) on drop.
+/// A held directory lock; releases (deletes the lockfile, then drops the
+/// `flock`) on drop.
 #[derive(Debug)]
 pub struct DirLock {
     path: PathBuf,
     pid: u32,
-}
-
-/// Whether a process with `pid` is currently alive.
-///
-/// Uses `/proc/<pid>` existence, which is the portable-enough answer on
-/// the Linux targets this workspace supports. The calling process itself
-/// always counts as alive.
-pub fn pid_alive(pid: u32) -> bool {
-    pid == std::process::id() || Path::new(&format!("/proc/{pid}")).exists()
+    /// Holds the `flock`; closing it releases the lock.
+    _file: File,
 }
 
 impl DirLock {
-    /// Acquires the lock for `dir`, reclaiming a stale one.
+    /// Acquires the lock for `dir`.
     ///
-    /// The lockfile appears with its PID already inside: it is written
-    /// under a private name and hard-linked into place, and the link fails
-    /// if a lock exists — so no racer ever reads a half-written lock and
-    /// mistakes it for garbage. A stale lock is reclaimed by *renaming* it
-    /// aside before retrying — the rename is the atomic arbiter, so two
-    /// daemons racing to reclaim the same dead lock cannot both win (only
-    /// one rename of the same source succeeds). After linking its own
-    /// lockfile the winner re-reads it and verifies its own PID, guarding
-    /// against a third racer that replaced the file in the window.
+    /// Opens (creating if needed) `LOCK` and takes an exclusive `flock` on
+    /// it without blocking. A release unlinks the file while still holding
+    /// the lock, so a racer that opened the file just before can lock an
+    /// inode that `LOCK` no longer names; the winner therefore checks that
+    /// the path still names the inode it locked (same device and inode)
+    /// and starts over if not. Only then does it write its PID.
     ///
     /// # Errors
-    /// [`StoreError::Locked`] when a live process (including this one,
-    /// via an earlier store instance) holds the lock; [`StoreError::Io`]
-    /// on filesystem failures or when the race cannot be settled.
+    /// [`StoreError::Locked`] when the lock is held, by another process or
+    /// by an earlier store instance in this one (its PID, or 0 while the
+    /// holder has not written it yet); [`StoreError::Io`] on filesystem
+    /// failures or when the race cannot be settled.
     pub fn acquire(dir: &Path) -> Result<DirLock, StoreError> {
-        // Private staging names must differ between racing threads of one
-        // process too, which share the PID.
-        static ATTEMPTS: AtomicU64 = AtomicU64::new(0);
         let path = dir.join(LOCK_FILE);
-        let pid = std::process::id();
-        // Bounded: each retry means another process made visible progress
-        // (created or reclaimed a lock); 16 rounds of that without a
-        // settled outcome is churn worth surfacing, not spinning through.
+        let io_err =
+            |what: &str, e| StoreError::io(format!("{what} lockfile {}", path.display()), e);
+        // Bounded: each retry means a holder released the lock between our
+        // open and our `flock`; 16 rounds of that is churn worth surfacing,
+        // not spinning through.
         for _ in 0..16 {
-            let attempt = ATTEMPTS.fetch_add(1, Ordering::Relaxed);
-            let staged = dir.join(format!("{LOCK_FILE}.new.{pid}.{attempt}"));
-            let linked = fs::File::create(&staged)
-                .and_then(|mut file| {
-                    writeln!(file, "{pid}")?;
-                    file.sync_all()
-                })
-                .and_then(|()| fs::hard_link(&staged, &path));
-            let _ = fs::remove_file(&staged);
-            match linked {
-                Ok(()) => {
-                    // Verify ownership: another racer may have judged the
-                    // lock stale and replaced it in the window.
-                    let content = fs::read_to_string(&path).unwrap_or_default();
-                    if content.trim().parse::<u32>() == Ok(pid) {
-                        return Ok(DirLock { path, pid });
-                    }
-                    continue;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
-                Err(e) => {
-                    return Err(StoreError::io(
-                        format!("create lockfile {}", path.display()),
-                        e,
-                    ));
-                }
-            }
-            // Lock exists. Live owner → refused; dead or garbage → stale.
-            let existing = match fs::read_to_string(&path) {
-                Ok(text) => text,
-                // Deleted between link and read: owner released; retry.
-                Err(_) => continue,
-            };
-            if let Ok(owner) = existing.trim().parse::<u32>() {
-                if pid_alive(owner) {
+            let mut file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(&path)
+                .map_err(|e| io_err("open", e))?;
+            match file.try_lock() {
+                Ok(()) => {}
+                Err(TryLockError::WouldBlock) => {
+                    let pid = fs::read_to_string(&path)
+                        .ok()
+                        .and_then(|text| text.trim().parse().ok())
+                        .unwrap_or(0);
                     return Err(StoreError::Locked {
-                        pid: owner,
+                        pid,
                         path: path.display().to_string(),
                     });
                 }
+                Err(TryLockError::Error(e)) => return Err(io_err("lock", e)),
             }
-            // Reclaim by renaming the stale file aside: exactly one racer's
-            // rename succeeds, and that racer retries the link above. A
-            // racer that read the stale lock before another reclaimed it
-            // moves the fresh lock instead, and links it back.
-            let grave = dir.join(format!("{LOCK_FILE}.stale.{pid}.{attempt}"));
-            if fs::rename(&path, &grave).is_ok() {
-                if fs::read_to_string(&grave).ok().as_ref() != Some(&existing) {
-                    let _ = fs::hard_link(&grave, &path);
-                }
-                let _ = fs::remove_file(&grave);
+            let held = file.metadata().map_err(|e| io_err("stat", e))?;
+            match fs::metadata(&path) {
+                Ok(now) if now.dev() == held.dev() && now.ino() == held.ino() => {}
+                // Released and unlinked under us: dropping `file` lets go
+                // of the orphaned inode's lock.
+                _ => continue,
             }
+            let pid = std::process::id();
+            file.set_len(0)
+                .and_then(|()| writeln!(file, "{pid}"))
+                .map_err(|e| io_err("write", e))?;
+            return Ok(DirLock {
+                path,
+                pid,
+                _file: file,
+            });
         }
-        Err(StoreError::io(
-            format!("acquire lockfile {}", path.display()),
+        Err(io_err(
+            "acquire",
             std::io::Error::other("lockfile kept changing hands; giving up after 16 attempts"),
         ))
     }
@@ -121,9 +98,10 @@ impl DirLock {
 
 impl Drop for DirLock {
     fn drop(&mut self) {
-        // Only remove a lock we still own: if the content changed, a later
-        // process reclaimed it (we must have been declared dead — do not
-        // steal its lock back).
+        // Unlink while the `flock` is still held (`_file` closes after this
+        // body), so no racer locks this inode and takes it for the live
+        // lock. Leave a file that no longer names this process alone: it
+        // was replaced under us, and is not ours to remove.
         if let Ok(content) = fs::read_to_string(&self.path) {
             if content.trim().parse::<u32>() == Ok(self.pid) {
                 let _ = fs::remove_file(&self.path);
@@ -187,9 +165,8 @@ mod tests {
 
     #[test]
     fn racing_reclaimers_of_one_stale_lock_produce_one_winner() {
-        // Seed a dead lock, then race many threads to reclaim it. The
-        // rename-aside arbiter must let exactly one through; the rest see
-        // the winner's live PID and report Locked.
+        // Seed a dead owner's lockfile, then race many threads to take it.
+        // The `flock` lets exactly one through; the rest report Locked.
         let dir = temp_dir("race");
         fs::write(dir.join(LOCK_FILE), "4194303999\n").unwrap();
         let results: Vec<Result<DirLock, StoreError>> = std::thread::scope(|s| {
@@ -206,8 +183,8 @@ mod tests {
                 );
             }
         }
-        // The winner's lockfile carries this process's PID and no grave
-        // files linger from the rename-aside step.
+        // The winner's lockfile carries this process's PID and no other
+        // file appears beside it.
         let content = fs::read_to_string(dir.join(LOCK_FILE)).unwrap();
         assert_eq!(content.trim().parse::<u32>().unwrap(), std::process::id());
         let stragglers: Vec<String> = fs::read_dir(&dir)
@@ -222,7 +199,7 @@ mod tests {
 
     #[test]
     fn reclaim_after_owner_death_is_clean() {
-        // Repeated stale→reclaim cycles never accumulate grave files.
+        // Repeated dead-owner→acquire cycles never leave a file behind.
         let dir = temp_dir("cycles");
         for _ in 0..5 {
             fs::write(dir.join(LOCK_FILE), "4194303999\n").unwrap();
@@ -238,7 +215,7 @@ mod tests {
     fn drop_leaves_a_reclaimed_lock_alone() {
         let dir = temp_dir("reclaimed");
         let lock = DirLock::acquire(&dir).unwrap();
-        // Simulate another process having reclaimed the lock.
+        // Simulate the file having been replaced under the holder.
         fs::write(dir.join(LOCK_FILE), "999999999\n").unwrap();
         drop(lock);
         assert!(dir.join(LOCK_FILE).exists());
