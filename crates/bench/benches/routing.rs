@@ -1,9 +1,11 @@
-//! Criterion: SPF and routing-matrix construction throughput.
+//! Criterion: SPF, routing-matrix and background link-load construction
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nws_routing::{OdPair, RoutingMatrix, Spf};
 use nws_topo::geant;
 use nws_topo::random::ring_with_chords;
+use nws_traffic::demand::DemandMatrix;
 use std::hint::black_box;
 
 fn bench_spf_geant(c: &mut Criterion) {
@@ -39,9 +41,23 @@ fn bench_routing_matrix(c: &mut Criterion) {
     });
 }
 
+/// Routing a gravity background over every PoP pair: one SPF per source
+/// and an ECMP walk per destination.
+fn bench_link_loads(c: &mut Criterion) {
+    let mut group = c.benchmark_group("link_loads");
+    for &n in &[96usize, 200] {
+        let topo = ring_with_chords(n, n / 2, 1);
+        let demand = DemandMatrix::gravity_capacity_weighted(&topo, 5e7, 0.5, 7);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &topo, |b, topo| {
+            b.iter(|| demand.link_loads(black_box(topo)))
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_spf_geant, bench_spf_scaling, bench_routing_matrix
+    targets = bench_spf_geant, bench_spf_scaling, bench_routing_matrix, bench_link_loads
 }
 criterion_main!(benches);

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nws_core::scenarios::janet_task;
 use nws_core::{solve_placement, MeasurementTask, PlacementConfig};
-use nws_routing::{OdPair, Router};
+use nws_routing::{OdPair, Spf};
 use nws_topo::random::ring_with_chords;
 use nws_traffic::demand::DemandMatrix;
 use std::hint::black_box;
@@ -20,16 +20,15 @@ fn synthetic_task(n: usize) -> MeasurementTask {
         .node_ids()
         .max_by_key(|&v| topo.out_links(v).count())
         .expect("nodes exist");
-    let router = Router::new(&topo);
+    let spf = Spf::compute(&topo, ingress);
     let mut tracked = Vec::new();
     for dst in topo.node_ids() {
-        if dst != ingress && router.path(OdPair::new(ingress, dst)).is_some() {
+        if dst != ingress && spf.distance(dst).is_some() {
             // Deterministic spread of sizes over two orders of magnitude.
             let size = 3_000.0 * (1.0 + dst.index() as f64 * 7.0 % 97.0) * 300.0 / 97.0;
             tracked.push((dst, size));
         }
     }
-    drop(router);
     let bg = DemandMatrix::gravity_capacity_weighted(&topo, 3e8, 0.5, 5).link_loads(&topo);
     let total: f64 = tracked.iter().map(|&(_, s)| s).sum();
     let mut b = MeasurementTask::builder(topo);

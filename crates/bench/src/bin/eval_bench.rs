@@ -11,6 +11,10 @@
 //! in [0.9, 1.1], rebuilds the task over the same routing and re-solves
 //! warm from the cold rates; `outside_ms` is the part of that re-solve
 //! outside the solver's `solve` span (projection, objective build, report).
+//! The routing cases time the routing substrate on `ring_task(P, O, 1)`: one
+//! SPF (`spf_us`, the mean over the task's OD sources), the task's routing
+//! matrix (`matrix_ms`) and its gravity background's link loads
+//! (`link_loads_ms`), each the median of five runs.
 //!
 //! Dependency-free (`std::time::Instant` only); emits machine-readable JSON
 //! (default `BENCH_eval.json`) that `scripts/check_bench.py` validates and
@@ -27,9 +31,11 @@ use nws_core::{
 };
 use nws_linalg::Vector;
 use nws_obs::Recorder;
-use nws_routing::{OdPair, Router};
+use nws_routing::{OdPair, RoutingMatrix, Spf};
 use nws_solver::{Direction, Objective};
 use nws_topo::random::ring_with_chords;
+use nws_topo::NodeId;
+use nws_traffic::demand::DemandMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -80,6 +86,21 @@ struct WarmResult {
     kkt: bool,
 }
 
+struct RoutingResult {
+    name: String,
+    nodes: usize,
+    links: usize,
+    ods: usize,
+    /// Distinct OD sources: the SPFs one routing-matrix build runs.
+    sources: usize,
+    /// Median over the repeats of the mean time of one source's SPF.
+    spf_us: f64,
+    /// Median `RoutingMatrix::build` time for the task's ODs.
+    matrix_ms: f64,
+    /// Median `DemandMatrix::link_loads` time for the task's background.
+    link_loads_ms: f64,
+}
+
 struct ObsResult {
     disabled_ms: f64,
     enabled_ms: f64,
@@ -127,30 +148,29 @@ type ObjectiveParts = (Vec<SreUtility>, Vec<f64>, Vec<Vec<(usize, f64)>>, usize)
 fn random_parts(n: usize, chords: usize, dsts_per_src: usize) -> ObjectiveParts {
     let topo = ring_with_chords(n, chords, 42);
     let dim = topo.num_links();
-    let router = Router::new(&topo);
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
-    let mut utilities = Vec::new();
+    let mut ods = Vec::new();
     for src in topo.node_ids() {
         for j in 1..=dsts_per_src {
             // Deterministic destination spread around the ring.
             let dst_index = (src.index() + j * (n / (dsts_per_src + 1)).max(1) + j) % n;
-            if dst_index == src.index() {
-                continue;
+            if dst_index != src.index() {
+                ods.push(OdPair::new(src, NodeId::from_index(dst_index)));
             }
-            let dst = topo
-                .node_ids()
-                .nth(dst_index)
-                .expect("index within node count");
-            let fractions = router.ecmp_fractions(OdPair::new(src, dst));
-            if fractions.is_empty() {
-                continue;
-            }
-            rows.push(fractions.into_iter().map(|(l, f)| (l.index(), f)).collect());
-            // Heavy-tailed sizes: a few elephants, many mice.
-            let rank = rows.len();
-            let size = (9_000_000.0 / (rank as f64).powf(1.2)).max(600.0);
-            utilities.push(SreUtility::new(1.0 / size));
         }
+    }
+    let routing = RoutingMatrix::build(&topo, &ods);
+    let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
+    let mut utilities = Vec::new();
+    for k in 0..ods.len() {
+        let row = routing.row(k);
+        if row.is_empty() {
+            continue;
+        }
+        rows.push(row.iter().map(|&(l, f)| (l.index(), f)).collect());
+        // Heavy-tailed sizes: a few elephants, many mice.
+        let rank = rows.len();
+        let size = (9_000_000.0 / (rank as f64).powf(1.2)).max(600.0);
+        utilities.push(SreUtility::new(1.0 / size));
     }
     let weights = vec![1.0; rows.len()];
     (utilities, weights, rows, dim)
@@ -208,18 +228,16 @@ fn random_task(n: usize, chords: usize) -> MeasurementTask {
         .node_ids()
         .max_by_key(|&v| topo.out_links(v).count())
         .expect("nodes exist");
-    let router = Router::new(&topo);
+    let spf = Spf::compute(&topo, ingress);
     let mut tracked = Vec::new();
     for (rank, dst) in topo.node_ids().filter(|&d| d != ingress).enumerate() {
-        if router.path(OdPair::new(ingress, dst)).is_none() {
+        if spf.distance(dst).is_none() {
             continue;
         }
         let size = (9_000_000.0 / ((rank + 1) as f64).powf(1.2)).max(600.0);
         tracked.push((dst, size));
     }
-    drop(router);
-    let bg = nws_traffic::demand::DemandMatrix::gravity_capacity_weighted(&topo, 3e8, 0.5, 7)
-        .link_loads(&topo);
+    let bg = DemandMatrix::gravity_capacity_weighted(&topo, 3e8, 0.5, 7).link_loads(&topo);
     let total: f64 = tracked.iter().map(|&(_, s)| s).sum();
     let mut b = MeasurementTask::builder(topo);
     for (dst, size) in tracked {
@@ -338,6 +356,45 @@ fn run_warm_case(name: &str, task: &MeasurementTask, draws: usize) -> WarmResult
     }
 }
 
+/// Runs timed per routing stage; each stage reports their median.
+const ROUTING_REPEATS: usize = 5;
+
+/// Times the routing substrate on `ring_task(pops, ods, 1)`: one SPF per
+/// distinct OD source, the task's routing matrix, and the link loads of
+/// the gravity background `ring_task` draws.
+fn run_routing_case(pops: usize, ods: usize) -> RoutingResult {
+    const SEED: u64 = 1;
+    let task = ring_task(pops, ods, SEED);
+    let topo = task.topology();
+    let pairs: Vec<OdPair> = task.ods().iter().map(|o| o.od).collect();
+    let mut sources: Vec<NodeId> = pairs.iter().map(|od| od.src).collect();
+    sources.sort_unstable();
+    sources.dedup();
+    // The demand matrix behind `ring_task`'s background loads.
+    let background = DemandMatrix::gravity_capacity_weighted(topo, 5e7, 0.5, SEED ^ 0x6267);
+    let spf_ms = time_median_ms(ROUTING_REPEATS, || {
+        for &s in &sources {
+            black_box(Spf::compute(black_box(topo), s));
+        }
+    });
+    let matrix_ms = time_median_ms(ROUTING_REPEATS, || {
+        black_box(RoutingMatrix::build(black_box(topo), &pairs));
+    });
+    let link_loads_ms = time_median_ms(ROUTING_REPEATS, || {
+        black_box(background.link_loads(black_box(topo)));
+    });
+    RoutingResult {
+        name: format!("ring{pops}"),
+        nodes: topo.num_nodes(),
+        links: topo.num_links(),
+        ods,
+        sources: sources.len(),
+        spf_us: spf_ms * 1e3 / sources.len() as f64,
+        matrix_ms,
+        link_loads_ms,
+    }
+}
+
 /// Measures recorder overhead on the evaluation hot path: the same serial
 /// objective (identical data) with the default no-op sink vs an enabled
 /// `nws-obs` recorder. Run on the large random case — the scale the engine
@@ -393,6 +450,7 @@ fn render_json(
     evals: &[EvalResult],
     solvers: &[SolverResult],
     warms: &[WarmResult],
+    routings: &[RoutingResult],
     obs: &ObsResult,
 ) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -452,6 +510,24 @@ fn render_json(
             w.iterations,
             w.kkt,
             if i + 1 < warms.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"routing_cases\": [\n");
+    for (i, r) in routings.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"nodes\": {}, \"links\": {}, \"ods\": {}, \
+             \"sources\": {}, \"spf_us\": {:.3}, \"matrix_ms\": {:.4}, \
+             \"link_loads_ms\": {:.4}}}{}\n",
+            r.name,
+            r.nodes,
+            r.links,
+            r.ods,
+            r.sources,
+            r.spf_us,
+            r.matrix_ms,
+            r.link_loads_ms,
+            if i + 1 < routings.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -536,6 +612,24 @@ fn main() {
     }
 
     println!();
+    println!("routing on ring_task(P, O, 1) (medians):");
+    let mut routing_shapes = vec![(96, 132), (300, 4000)];
+    if !quick {
+        routing_shapes.push((600, 12_000));
+    }
+    let routings: Vec<RoutingResult> = routing_shapes
+        .into_iter()
+        .map(|(pops, ods)| run_routing_case(pops, ods))
+        .collect();
+    for r in &routings {
+        println!(
+            "{:<16} {:>4} nodes {:>5} links {:>6} ods {:>4} sources   spf {:>7.2} us   \
+             matrix {:>8.3} ms   link loads {:>9.3} ms",
+            r.name, r.nodes, r.links, r.ods, r.sources, r.spf_us, r.matrix_ms, r.link_loads_ms
+        );
+    }
+
+    println!();
     let (utilities, weights, rows, dim) = random_parts(rand_n, rand_chords, dsts);
     let obs_disabled = PlacementObjective::from_parts(
         utilities.clone(),
@@ -554,7 +648,7 @@ fn main() {
         obs.disabled_ms, obs.enabled_ms, obs.overhead_ratio
     );
 
-    let json = render_json(quick, &evals, &solvers, &warms, &obs);
+    let json = render_json(quick, &evals, &solvers, &warms, &routings, &obs);
     std::fs::write(&out_path, &json).expect("write JSON report");
     println!();
     println!("wrote {out_path}");

@@ -12,7 +12,7 @@
 use nws_bench::{banner, footer, mean, std_dev};
 use nws_core::report::render_csv;
 use nws_core::{solve_placement, MeasurementTask, PlacementConfig};
-use nws_routing::{OdPair, Router};
+use nws_routing::{OdPair, Spf};
 use nws_topo::random::{gabriel_like, ring_with_chords};
 use nws_topo::{LinkId, Topology};
 use nws_traffic::demand::DemandMatrix;
@@ -32,17 +32,16 @@ fn build_instance(topo: Topology, seed: u64) -> Option<Instance> {
         .node_ids()
         .max_by_key(|&n| topo.out_links(n).count())
         .expect("nodes exist");
-    let router = Router::new(&topo);
+    let spf = Spf::compute(&topo, ingress);
     let mut tracked = Vec::new();
     for (rank, dst) in topo.node_ids().filter(|&d| d != ingress).enumerate() {
-        if router.path(OdPair::new(ingress, dst)).is_none() {
+        if spf.distance(dst).is_none() {
             continue;
         }
         // Heavy-tailed sizes: a few elephants, many mice.
         let size = 30_000.0 * 300.0 / ((rank + 1) as f64).powf(1.5) * rng.random_range(0.5..1.5);
         tracked.push((dst, size.max(600.0)));
     }
-    drop(router);
     if tracked.len() < 3 {
         return None;
     }

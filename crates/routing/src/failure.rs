@@ -3,7 +3,7 @@
 //! Short-term traffic variation due to failures and re-routing is one of the
 //! paper's core motivations for *re-optimizable* monitor placement (§I). The
 //! helpers here derive a post-failure topology so callers can reconverge
-//! routing ([`crate::Router`]) and re-run the optimizer, then compare against
+//! routing ([`crate::Spf`], [`crate::RoutingMatrix`]) and re-run the optimizer, then compare against
 //! the stale pre-failure monitor configuration.
 
 use nws_topo::{LinkId, NodeId, Result, Topology, TopologyBuilder};
@@ -77,8 +77,17 @@ pub fn link_id_map(topo: &Topology, failed: &[LinkId]) -> Vec<Option<LinkId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OdPair, Router};
+    use crate::Spf;
     use nws_topo::geant;
+
+    /// The lowest-link-id shortest path from `src` to `dst` as link labels,
+    /// with its cost; `None` if `dst` is unreachable.
+    fn route(t: &Topology, src: NodeId, dst: NodeId) -> Option<(Vec<String>, f64)> {
+        let spf = Spf::compute(t, src);
+        let links = spf.path_to(t, dst)?;
+        let labels = links.iter().map(|&l| t.link_label(l)).collect();
+        Some((labels, spf.distance(dst)?))
+    }
 
     #[test]
     fn failing_uk_se_reroutes_pl() {
@@ -89,9 +98,8 @@ mod tests {
         let janet = t.require_node("JANET").unwrap();
 
         // Before: JANET->PL via UK-SE-PL.
-        let r = Router::new(&t);
-        let before = r.path(OdPair::new(janet, pl)).unwrap();
-        assert!(before.describe(&t).contains("SE"));
+        let (before, before_cost) = route(&t, janet, pl).unwrap();
+        assert_eq!(before, ["JANET-UK", "UK-SE", "SE-PL"]);
 
         // Fail the UK<->SE fibre.
         let failed = bidirectional_pair(&t, uk, se);
@@ -100,15 +108,13 @@ mod tests {
         assert_eq!(t2.num_links(), t.num_links() - 2);
 
         // After: PL still reachable, but not via the failed fibre.
-        let r2 = Router::new(&t2);
         let pl2 = t2.require_node("PL").unwrap();
         let janet2 = t2.require_node("JANET").unwrap();
-        let after = r2.path(OdPair::new(janet2, pl2)).unwrap();
-        assert!(after.cost() > before.cost());
-        let desc = after.describe(&t2);
+        let (after, after_cost) = route(&t2, janet2, pl2).unwrap();
+        assert!(after_cost > before_cost);
         assert!(
-            !desc.contains("UK -> SE"),
-            "rerouted path still uses failed fibre: {desc}"
+            !after.iter().any(|l| l == "UK-SE"),
+            "rerouted path still uses failed fibre: {after:?}"
         );
     }
 
@@ -174,22 +180,21 @@ mod tests {
 
         // Routing degrades per-destination rather than failing wholesale:
         // IE is unreachable from every other node ...
-        let r2 = Router::new(&t2);
         let ie2 = t2.require_node("IE").unwrap();
         for src in t2.node_ids().filter(|&n| n != ie2) {
             assert!(
-                r2.path(OdPair::new(src, ie2)).is_none(),
+                route(&t2, src, ie2).is_none(),
                 "{} should not reach isolated IE",
                 t2.node(src).name()
             );
         }
         // ... the isolated island cannot reach out ...
         let janet2 = t2.require_node("JANET").unwrap();
-        assert!(r2.path(OdPair::new(ie2, janet2)).is_none());
+        assert!(route(&t2, ie2, janet2).is_none());
         // ... and every destination in the main component stays reachable.
         for dst in t2.node_ids().filter(|&n| n != ie2 && n != janet2) {
             assert!(
-                r2.path(OdPair::new(janet2, dst)).is_some(),
+                route(&t2, janet2, dst).is_some(),
                 "JANET lost {} although it is in the surviving component",
                 t2.node(dst).name()
             );
@@ -290,9 +295,8 @@ mod tests {
         // IE is single-homed to UK; cutting the fibre isolates it.
         let failed = bidirectional_pair(&t, uk, ie);
         let t2 = without_links(&t, &failed).unwrap();
-        let r2 = Router::new(&t2);
         let janet2 = t2.require_node("JANET").unwrap();
         let ie2 = t2.require_node("IE").unwrap();
-        assert!(r2.path(OdPair::new(janet2, ie2)).is_none());
+        assert!(route(&t2, janet2, ie2).is_none());
     }
 }

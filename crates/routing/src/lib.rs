@@ -7,26 +7,31 @@
 //! IS-IS/OSPF control plane would:
 //!
 //! * [`Spf`] — single-source shortest-path-first (Dijkstra) over IGP weights,
-//!   retaining the full equal-cost DAG;
-//! * [`Router`] — per-source SPF cache with path extraction and ECMP traffic
-//!   splitting;
+//!   retaining the full equal-cost DAG, with path extraction and the ECMP
+//!   walk that splits a unit of traffic over it;
 //! * [`RoutingMatrix`] — the `|F| × |E|` matrix as sparse per-OD rows
-//!   (CSR), plus link-load accumulation;
+//!   (CSR), built with one SPF per OD source, plus link-load accumulation;
 //! * [`failure`] — link-failure what-if: clone a topology without some links
 //!   and recompute, modelling the re-routing events that motivate dynamic
 //!   monitor placement (paper §I).
 //!
 //! ```
 //! use nws_topo::geant;
-//! use nws_routing::{OdPair, Router};
+//! use nws_routing::{OdPair, RoutingMatrix, Spf};
 //!
 //! let topo = geant();
-//! let router = Router::new(&topo);
 //! let uk = topo.require_node("UK").unwrap();
 //! let sk = topo.require_node("SK").unwrap();
-//! let path = router.path(OdPair { src: uk, dst: sk }).unwrap();
-//! let labels: Vec<String> = path.links().iter().map(|&l| topo.link_label(l)).collect();
+//! let spf = Spf::compute(&topo, uk);
+//! let path = spf.path_to(&topo, sk).unwrap();
+//! let labels: Vec<String> = path.iter().map(|&l| topo.link_label(l)).collect();
 //! assert_eq!(labels, ["UK-NL", "NL-DE", "DE-CZ", "CZ-SK"]);
+//! assert_eq!(spf.distance(sk), Some(35.0));
+//!
+//! // The path is unique, so UK->SK's row carries all of it on each link.
+//! let routing = RoutingMatrix::build(&topo, &[OdPair::new(uk, sk)]);
+//! assert_eq!(routing.links_of_od(0), path);
+//! assert!(routing.row(0).iter().all(|&(_, f)| f == 1.0));
 //! ```
 
 #![deny(missing_docs)]
@@ -35,10 +40,8 @@
 pub mod failure;
 mod matrix;
 mod path;
-mod router;
 mod spf;
 
 pub use matrix::RoutingMatrix;
-pub use path::{OdPair, Path};
-pub use router::Router;
+pub use path::OdPair;
 pub use spf::Spf;

@@ -1,6 +1,6 @@
 //! The routing matrix `R` and link-load accumulation.
 
-use crate::{OdPair, Router};
+use crate::{OdPair, Spf};
 use nws_topo::{LinkId, Topology};
 
 /// The routing matrix of a measurement task: `entry(k, i)` is the fraction of
@@ -27,29 +27,35 @@ pub struct RoutingMatrix {
 impl RoutingMatrix {
     /// Builds the routing matrix for `ods` over `topo` using shortest-path
     /// routing with even ECMP splitting.
+    ///
+    /// Runs one [`Spf`] per distinct OD source; each row is that SPF's ECMP
+    /// walk to the OD's destination.
     pub fn build(topo: &Topology, ods: &[OdPair]) -> RoutingMatrix {
-        let router = Router::new(topo);
-        Self::build_with_router(&router, ods)
-    }
-
-    /// Builds the routing matrix reusing an existing router's SPF cache.
-    pub fn build_with_router(router: &Router<'_>, ods: &[OdPair]) -> RoutingMatrix {
+        // Route the ODs grouped by source, then lay the rows out in OD order.
+        let mut by_source: Vec<usize> = (0..ods.len()).collect();
+        by_source.sort_by_key(|&k| ods[k].src);
+        let mut routed = Vec::new();
+        let mut spans = vec![(0, 0); ods.len()];
+        let mut share = Vec::new();
+        for group in by_source.chunk_by(|&a, &b| ods[a].src == ods[b].src) {
+            let spf = Spf::compute(topo, ods[group[0]].src);
+            for &k in group {
+                let start = routed.len();
+                spf.ecmp_split(ods[k].dst, &mut share, |l, f| routed.push((l, f)));
+                routed[start..].sort_unstable_by_key(|&(l, _)| l);
+                spans[k] = (start, routed.len());
+            }
+        }
         let mut offsets = Vec::with_capacity(ods.len() + 1);
-        let mut entries = Vec::new();
+        let mut entries = Vec::with_capacity(routed.len());
         offsets.push(0);
-        for &od in ods {
-            // `ecmp_fractions` yields each link once, in link order.
-            entries.extend(
-                router
-                    .ecmp_fractions(od)
-                    .into_iter()
-                    .filter(|&(_, f)| f > 0.0),
-            );
+        for (start, end) in spans {
+            entries.extend_from_slice(&routed[start..end]);
             offsets.push(entries.len());
         }
         RoutingMatrix {
             ods: ods.to_vec(),
-            num_links: router.topology().num_links(),
+            num_links: topo.num_links(),
             offsets,
             entries,
         }

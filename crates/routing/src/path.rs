@@ -1,6 +1,6 @@
-//! OD pairs and routed paths.
+//! OD pairs: the origin and destination a routed path connects.
 
-use nws_topo::{LinkId, NodeId, Topology};
+use nws_topo::NodeId;
 
 /// An origin–destination pair.
 ///
@@ -22,88 +22,9 @@ impl OdPair {
     }
 }
 
-/// A loop-free routed path: an ordered sequence of links from the origin to
-/// the destination, plus its total IGP cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Path {
-    links: Vec<LinkId>,
-    cost: f64,
-}
-
-impl Path {
-    /// Creates a path from its link sequence and total cost.
-    ///
-    /// An empty link sequence (zero-cost path from a node to itself) is
-    /// allowed.
-    pub(crate) fn new(links: Vec<LinkId>, cost: f64) -> Self {
-        Path { links, cost }
-    }
-
-    /// The links traversed, in order from origin to destination.
-    pub fn links(&self) -> &[LinkId] {
-        &self.links
-    }
-
-    /// Total IGP cost of the path.
-    pub fn cost(&self) -> f64 {
-        self.cost
-    }
-
-    /// Number of hops (links).
-    pub fn len(&self) -> usize {
-        self.links.len()
-    }
-
-    /// True for the trivial self-path.
-    pub fn is_empty(&self) -> bool {
-        self.links.is_empty()
-    }
-
-    /// Whether the path traverses `link`.
-    pub fn traverses(&self, link: LinkId) -> bool {
-        self.links.contains(&link)
-    }
-
-    /// Renders the path as `"A -> B -> C"` node names for diagnostics.
-    pub fn describe(&self, topo: &Topology) -> String {
-        if self.links.is_empty() {
-            return String::from("(self)");
-        }
-        let mut s = topo.node(topo.link(self.links[0]).src()).name().to_string();
-        for &l in &self.links {
-            s.push_str(" -> ");
-            s.push_str(topo.node(topo.link(l).dst()).name());
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nws_topo::{LinkKind, TopologyBuilder};
-
-    #[test]
-    fn describe_and_accessors() {
-        let mut b = TopologyBuilder::new();
-        let a = b.node("A");
-        let m = b.node("M");
-        let z = b.node("Z");
-        let am = b.link(a, m, 100.0, 1.0, LinkKind::Backbone);
-        let mz = b.link(m, z, 100.0, 2.0, LinkKind::Backbone);
-        let t = b.build().unwrap();
-
-        let p = Path::new(vec![am, mz], 3.0);
-        assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
-        assert_eq!(p.cost(), 3.0);
-        assert!(p.traverses(am));
-        assert_eq!(p.describe(&t), "A -> M -> Z");
-
-        let empty = Path::new(vec![], 0.0);
-        assert!(empty.is_empty());
-        assert_eq!(empty.describe(&t), "(self)");
-    }
 
     #[test]
     fn od_pair_equality() {

@@ -1,7 +1,7 @@
 //! Gravity-model traffic matrices and link-load derivation.
 
 use crate::dist::LogNormal;
-use nws_routing::{OdPair, Router};
+use nws_routing::Spf;
 use nws_topo::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -196,32 +196,31 @@ impl DemandMatrix {
         }
     }
 
-    /// All OD pairs with positive demand.
-    pub fn active_pairs(&self) -> Vec<(OdPair, f64)> {
-        let mut out = Vec::new();
-        for s in 0..self.n {
-            for t in 0..self.n {
-                let d = self.demands[s * self.n + t];
-                if d > 0.0 {
-                    out.push((OdPair::new(NodeId::from_index(s), NodeId::from_index(t)), d));
-                }
-            }
-        }
-        out
-    }
-
     /// Routes every demand over `topo` (shortest path, even ECMP split) and
     /// returns the per-link load vector in packets per interval.
+    ///
+    /// Runs one [`Spf`] per source with demand and walks it to each of that
+    /// source's destinations; each link sums its `fraction · demand` terms
+    /// by source, then destination.
     ///
     /// # Panics
     /// Panics if the matrix dimension does not match `topo`.
     pub fn link_loads(&self, topo: &Topology) -> Vec<f64> {
         assert_eq!(self.n, topo.num_nodes(), "matrix does not match topology");
-        let router = Router::new(topo);
         let mut loads = vec![0.0; topo.num_links()];
-        for (od, d) in self.active_pairs() {
-            for (l, f) in router.ecmp_fractions(od) {
-                loads[l.index()] += f * d;
+        let mut share = Vec::new();
+        for s in 0..self.n {
+            let row = &self.demands[s * self.n..(s + 1) * self.n];
+            if !row.iter().any(|&d| d > 0.0) {
+                continue;
+            }
+            let spf = Spf::compute(topo, NodeId::from_index(s));
+            for (t, &d) in row.iter().enumerate() {
+                if d > 0.0 {
+                    spf.ecmp_split(NodeId::from_index(t), &mut share, |l, f| {
+                        loads[l.index()] += f * d;
+                    });
+                }
             }
         }
         loads
@@ -231,7 +230,22 @@ impl DemandMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nws_routing::{OdPair, RoutingMatrix};
     use nws_topo::geant;
+
+    /// The positive demands of `dm`, row by row.
+    fn positive(dm: &DemandMatrix, topo: &Topology) -> Vec<(OdPair, f64)> {
+        let mut out = Vec::new();
+        for s in topo.node_ids() {
+            for t in topo.node_ids() {
+                let d = dm.demand(s, t);
+                if d > 0.0 {
+                    out.push((OdPair::new(s, t), d));
+                }
+            }
+        }
+        out
+    }
 
     #[test]
     fn gravity_totals_and_structure() {
@@ -263,7 +277,7 @@ mod tests {
     fn gravity_skewed_by_cv() {
         let t = geant();
         let dm = DemandMatrix::gravity(&t, 1e6, 2.0, 3);
-        let pairs = dm.active_pairs();
+        let pairs = positive(&dm, &t);
         let mut vals: Vec<f64> = pairs.iter().map(|&(_, d)| d).collect();
         vals.sort_by(|a, b| b.partial_cmp(a).unwrap());
         // Top 10% of pairs carry well over 10% of traffic.
@@ -285,7 +299,7 @@ mod tests {
         assert_eq!(dm.total(), 100.0);
         dm.scale(2.5);
         assert_eq!(dm.demand(uk, fr), 250.0);
-        assert_eq!(dm.active_pairs().len(), 1);
+        assert_eq!(positive(&dm, &t).len(), 1);
     }
 
     #[test]
@@ -306,17 +320,13 @@ mod tests {
         let loads = dm.link_loads(&t);
         assert_eq!(loads.len(), t.num_links());
         let total_link_volume: f64 = loads.iter().sum();
-        let router = Router::new(&t);
-        let expected: f64 = dm
-            .active_pairs()
+        let pairs = positive(&dm, &t);
+        let ods: Vec<OdPair> = pairs.iter().map(|&(od, _)| od).collect();
+        let routing = RoutingMatrix::build(&t, &ods);
+        let expected: f64 = pairs
             .iter()
-            .map(|&(od, d)| {
-                router
-                    .ecmp_fractions(od)
-                    .iter()
-                    .map(|&(_, f)| f * d)
-                    .sum::<f64>()
-            })
+            .enumerate()
+            .map(|(k, &(_, d))| routing.row(k).iter().map(|&(_, f)| f * d).sum::<f64>())
             .sum();
         assert!((total_link_volume - expected).abs() < 1e-6 * expected);
         assert!(loads.iter().all(|&l| l >= 0.0));

@@ -15,7 +15,7 @@ use nws_core::scenarios::{
 };
 use nws_core::{evaluate_rates, solve_placement, PlacementConfig};
 use nws_routing::failure::{bidirectional_pair, link_id_map, without_links};
-use nws_routing::{OdPair, Router};
+use nws_routing::Spf;
 use nws_traffic::demand::DemandMatrix;
 use nws_traffic::MEASUREMENT_INTERVAL_SECS;
 
@@ -39,13 +39,18 @@ fn main() {
     let lu = topo.require_node("LU").expect("LU");
     let failed = bidirectional_pair(topo, fr, lu);
     let topo2 = without_links(topo, &failed).expect("still connected enough");
-    let router = Router::new(&topo2);
     let janet2 = topo2.require_node("JANET").expect("JANET");
     let lu2 = topo2.require_node("LU").expect("LU");
-    let new_path = router.path(OdPair::new(janet2, lu2)).expect("LU reachable");
+    let new_path = Spf::compute(&topo2, janet2)
+        .path_to(&topo2, lu2)
+        .expect("LU reachable");
+    let hops: Vec<&str> = std::iter::once(janet2)
+        .chain(new_path.iter().map(|&l| topo2.link(l).dst()))
+        .map(|n| topo2.node(n).name())
+        .collect();
     println!(
         "after FR-LU cut, JANET->LU reroutes to: {}",
-        new_path.describe(&topo2)
+        hops.join(" -> ")
     );
 
     // Rebuild loads and the task on the post-failure network.

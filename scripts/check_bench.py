@@ -6,6 +6,7 @@ Run from bench_smoke.sh and the blocking `perf-gates` CI job:
 
     python3 scripts/check_bench.py BENCH_eval.json
     python3 scripts/check_bench.py BENCH_eval.json --write-baselines
+    python3 scripts/check_bench.py FULL_EVAL.json --write-baselines
     python3 scripts/check_bench.py BENCH_replay.json
     python3 scripts/check_bench.py BENCH_serve.json
     python3 scripts/check_bench.py BENCH_chaos_net.json
@@ -70,7 +71,15 @@ For eval reports, checks in order:
     committed number — and timing fields (gradient_ms, serial_ms, warm_ms)
     are compared within a wide tolerance band (quick mode on shared CI
     runners jitters; the band only catches order-of-magnitude
-    regressions).
+    regressions). Routing cases match on nodes/links/ods/sources and band
+    spf_us, matrix_ms and link_loads_ms the same way; a quick report runs
+    only the smaller routing cases, so only a full report must carry every
+    baselined one.
+
+--write-baselines on a quick eval report rewrites the eval, solver and
+warm baselines (the instances CI checks); on a full report it rewrites
+only the routing baselines, since only a full run times every routing
+case.
 
 Exit code 0 = all gates pass. Nonzero prints every failure, not just the
 first.
@@ -103,6 +112,8 @@ EVAL_FIELDS = (
     "curvature_ms",
 )
 SOLVER_FIELDS = ("name", "num_ods", "serial_ms", "iterations", "kkt", "pr_iterations")
+ROUTING_SHAPE = ("nodes", "links", "ods", "sources")
+ROUTING_TIMES = ("spf_us", "matrix_ms", "link_loads_ms")
 WARM_FIELDS = (
     "name",
     "dim",
@@ -128,7 +139,7 @@ def finite_positive(xs):
 
 def check_schema(report):
     for key in ("bench", "quick", "available_cores", "obs",
-                "eval_cases", "solver_cases", "warm_cases"):
+                "eval_cases", "solver_cases", "warm_cases", "routing_cases"):
         if key not in report:
             fail(f"schema: missing top-level key {key!r}")
     if failures:
@@ -162,6 +173,16 @@ def check_schema(report):
                 and outside >= 0):
             fail(f"schema: warm {case.get('name', '?')}.outside_ms malformed: "
                  f"{outside}")
+    if not report["routing_cases"]:
+        fail("schema: empty routing_cases list")
+    for case in report["routing_cases"]:
+        name = case.get("name", "?")
+        for key in ("name",) + ROUTING_SHAPE + ROUTING_TIMES:
+            if key not in case:
+                fail(f"schema: routing case {name} missing {key!r}")
+            elif key != "name" and not finite_positive([case[key]]):
+                fail(f"schema: routing {name}.{key} not finite-positive: "
+                     f"{case[key]}")
 
 
 def check_perf_gates(report):
@@ -211,11 +232,50 @@ def structure_of(report):
     }
 
 
+def routing_structure_of(report):
+    """The routing cases' exact instance shape plus banded timings."""
+    return [{key: c[key] for key in ("name",) + ROUTING_SHAPE + ROUTING_TIMES}
+            for c in report["routing_cases"]]
+
+
+def check_routing_baselines(report, base):
+    by_name = {c["name"]: c for c in base.get("routing_cases", [])}
+    for c in report["routing_cases"]:
+        ref = by_name.pop(c["name"], None)
+        if ref is None:
+            fail(f"baselines: new routing case {c['name']} — refresh baselines "
+                 f"from a full run")
+            continue
+        for field in ROUTING_SHAPE:
+            if ref.get(field) != c[field]:
+                fail(f"baselines: routing {c['name']} {field} drifted "
+                     f"{ref.get(field)} -> {c[field]} — the instance changed, "
+                     f"numbers not comparable")
+        for field in ROUTING_TIMES:
+            if ref.get(field, 0) > 0:
+                r = c[field] / ref[field]
+                if r > TIMING_BAND or r < 1.0 / TIMING_BAND:
+                    fail(f"baselines: routing {c['name']} {field} off by "
+                         f"{r:.1f}x vs baseline ({ref[field]:.3f} -> "
+                         f"{c[field]:.3f})")
+    if not report["quick"]:
+        for name in by_name:
+            fail(f"baselines: routing case {name} disappeared from the report")
+
+
+def write_eval_baselines(report):
+    if report["quick"]:
+        merge_baselines(None, structure_of(report))
+    else:
+        merge_baselines("routing_cases", routing_structure_of(report))
+
+
 def check_baselines(report):
     if not BASELINES.exists():
         fail(f"baselines: {BASELINES} missing — regenerate with --write-baselines")
         return
     base = json.loads(BASELINES.read_text())
+    check_routing_baselines(report, base)
     cur = structure_of(report)
     for section in ("eval_cases", "solver_cases", "warm_cases"):
         by_key = {(c["name"], c.get("model")): c for c in base.get(section, [])}
@@ -601,7 +661,7 @@ def main():
     if not failures:
         check_perf_gates(report)
         if write:
-            merge_baselines(None, structure_of(report))
+            write_eval_baselines(report)
         else:
             check_baselines(report)
 
@@ -613,7 +673,8 @@ def main():
     print(f"check_bench: all perf gates pass "
           f"({len(report['eval_cases'])} eval, "
           f"{len(report['solver_cases'])} solver, "
-          f"{len(report['warm_cases'])} warm cases; "
+          f"{len(report['warm_cases'])} warm, "
+          f"{len(report['routing_cases'])} routing cases; "
           f"obs ratio {report['obs']['overhead_ratio']:.4f})")
     return 0
 

@@ -2,7 +2,7 @@
 //! (a fast cousin of the `convergence` experiment binary).
 
 use nws_core::{solve_placement, MeasurementTask, PlacementConfig};
-use nws_routing::{OdPair, Router};
+use nws_routing::{OdPair, Spf};
 use nws_topo::random::{gabriel_like, ring_with_chords};
 use nws_topo::Topology;
 use nws_traffic::demand::DemandMatrix;
@@ -17,17 +17,16 @@ fn task_on(topo: Topology, seed: u64, theta_fraction: f64) -> Option<Measurement
         .node_ids()
         .max_by_key(|&n| topo.out_links(n).count())
         .expect("non-empty topology");
-    let router = Router::new(&topo);
+    let spf = Spf::compute(&topo, ingress);
     let mut sizes = Vec::new();
     for dst in topo.node_ids() {
         if dst == ingress {
             continue;
         }
-        if router.path(OdPair::new(ingress, dst)).is_some() {
+        if spf.distance(dst).is_some() {
             sizes.push((dst, rng.random_range(10.0..30_000.0) * 300.0));
         }
     }
-    drop(router);
     if sizes.is_empty() {
         return None;
     }

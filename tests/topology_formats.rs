@@ -3,7 +3,7 @@
 
 use nws_core::scenarios::{janet_task_on, PAPER_THETA};
 use nws_core::{solve_placement, PlacementConfig};
-use nws_routing::{OdPair, Router, RoutingMatrix};
+use nws_routing::{OdPair, RoutingMatrix, Spf};
 use nws_topo::format::{from_text, to_text};
 use nws_topo::geant;
 use nws_traffic::demand::DemandMatrix;
@@ -17,16 +17,12 @@ fn routing_identical_after_roundtrip() {
     let janet_r = reparsed.require_node("JANET").unwrap();
     assert_eq!(janet_o, janet_r, "node ids preserved");
 
-    let ro = Router::new(&original);
-    let rr = Router::new(&reparsed);
+    let so = Spf::compute(&original, janet_o);
+    let sr = Spf::compute(&reparsed, janet_r);
     for dst in original.node_ids() {
-        let po = ro.path(OdPair::new(janet_o, dst));
-        let pr = rr.path(OdPair::new(janet_r, dst));
-        match (po, pr) {
-            (Some(a), Some(b)) => {
-                assert_eq!(a.cost(), b.cost());
-                assert_eq!(a.links(), b.links());
-            }
+        assert_eq!(so.distance(dst), sr.distance(dst));
+        match (so.path_to(&original, dst), sr.path_to(&reparsed, dst)) {
+            (Some(a), Some(b)) => assert_eq!(a, b),
             (None, None) => {}
             _ => panic!("reachability differs for {}", original.node(dst).name()),
         }
@@ -61,10 +57,10 @@ fn routing_matrix_consistent_with_router_paths() {
         .map(|d| OdPair::new(janet, topo.require_node(d).unwrap()))
         .collect();
     let rm = RoutingMatrix::build(&topo, &ods);
-    let router = Router::new(&topo);
+    let spf = Spf::compute(&topo, janet);
     for (k, &od) in ods.iter().enumerate() {
-        let path = router.path(od).unwrap();
-        for &l in path.links() {
+        let path = spf.path_to(&topo, od.dst).unwrap();
+        for &l in &path {
             assert!(
                 rm.traverses(k, l),
                 "matrix misses path link {}",
@@ -72,7 +68,7 @@ fn routing_matrix_consistent_with_router_paths() {
             );
         }
         // Unique-path ODs have exactly the path's links in the matrix row.
-        if router.unique_path(od) {
+        if spf.unique_path_to(&topo, od.dst) {
             assert_eq!(rm.links_of_od(k).len(), path.len());
         }
     }
