@@ -15,6 +15,10 @@
 //! SPF (`spf_us`, the mean over the task's OD sources), the task's routing
 //! matrix (`matrix_ms`) and its gravity background's link loads
 //! (`link_loads_ms`), each the median of five runs.
+//! The parse cases time the decoders at the head of the two end-to-end
+//! paths, each the median of five runs: `Trace::parse` of a 1,000-tick
+//! trace on `ring_task(96, 132, 1)`, and `parse_incoming` of a 132-entry
+//! and of a 100,000-entry `update_demands` batch (the batch cap).
 //!
 //! Dependency-free (`std::time::Instant` only); emits machine-readable JSON
 //! (default `BENCH_eval.json`) that `scripts/check_bench.py` validates and
@@ -32,6 +36,8 @@ use nws_core::{
 use nws_linalg::Vector;
 use nws_obs::Recorder;
 use nws_routing::{OdPair, RoutingMatrix, Spf};
+use nws_scenario::{generate_trace, GeneratorConfig, Trace};
+use nws_service::{parse_incoming, Request, ServiceState};
 use nws_solver::{Direction, Objective};
 use nws_topo::random::ring_with_chords;
 use nws_topo::NodeId;
@@ -99,6 +105,18 @@ struct RoutingResult {
     matrix_ms: f64,
     /// Median `DemandMatrix::link_loads` time for the task's background.
     link_loads_ms: f64,
+}
+
+struct ParseResult {
+    name: String,
+    /// Lines one run parses.
+    lines: usize,
+    /// `[name, size]` entries in those lines.
+    entries: usize,
+    /// Bytes one run parses.
+    bytes: usize,
+    /// Median time of one run.
+    parse_ms: f64,
 }
 
 struct ObsResult {
@@ -395,6 +413,56 @@ fn run_routing_case(pops: usize, ods: usize) -> RoutingResult {
     }
 }
 
+/// Runs timed per parse case; each reports their median.
+const PARSE_REPEATS: usize = 5;
+
+/// Times the two decoders that head the end-to-end paths: `Trace::parse`
+/// of a 1,000-tick trace on `ring_task(96, 132, 1)` (the replay path), and
+/// `parse_incoming` of an `update_demands` batch of one tick's 132 demands
+/// and of one at the 100,000-entry cap (the serving path).
+fn run_parse_cases() -> Vec<ParseResult> {
+    let task = ring_task(96, 132, 1);
+    let base = ServiceState::from_task(&task, PlacementConfig::default());
+    let trace = generate_trace(
+        &base,
+        &GeneratorConfig {
+            ticks: 1000,
+            seed: 1,
+            ..GeneratorConfig::default()
+        },
+    );
+    let text = trace.encode();
+    let trace_ms = time_median_ms(PARSE_REPEATS, || {
+        black_box(Trace::parse(black_box(&text)).expect("an encoded trace parses"));
+    });
+    let mut cases = vec![ParseResult {
+        name: "trace_ring96".into(),
+        lines: text.lines().count(),
+        entries: trace.header.ods.len()
+            + trace.ticks.iter().map(|t| t.demands.len()).sum::<usize>(),
+        bytes: text.len(),
+        parse_ms: trace_ms,
+    }];
+    let full_batch: Vec<(String, f64)> = (0..100_000)
+        .map(|i| (format!("od{i}"), 2.0 + i as f64 / 8.0))
+        .collect();
+    for updates in [trace.ticks[0].demands.clone(), full_batch] {
+        let entries = updates.len();
+        let line = Request::UpdateDemands { updates }.to_json().encode();
+        let parse_ms = time_median_ms(PARSE_REPEATS, || {
+            black_box(parse_incoming(black_box(&line)).expect("an encoded batch parses"));
+        });
+        cases.push(ParseResult {
+            name: format!("update_demands_{entries}"),
+            lines: 1,
+            entries,
+            bytes: line.len(),
+            parse_ms,
+        });
+    }
+    cases
+}
+
 /// Measures recorder overhead on the evaluation hot path: the same serial
 /// objective (identical data) with the default no-op sink vs an enabled
 /// `nws-obs` recorder. Run on the large random case — the scale the engine
@@ -451,6 +519,7 @@ fn render_json(
     solvers: &[SolverResult],
     warms: &[WarmResult],
     routings: &[RoutingResult],
+    parses: &[ParseResult],
     obs: &ObsResult,
 ) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -528,6 +597,20 @@ fn render_json(
             r.matrix_ms,
             r.link_loads_ms,
             if i + 1 < routings.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str("  \"parse_cases\": [\n");
+    for (i, p) in parses.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"lines\": {}, \"entries\": {}, \"bytes\": {}, \
+             \"parse_ms\": {:.5}}}{}\n",
+            p.name,
+            p.lines,
+            p.entries,
+            p.bytes,
+            p.parse_ms,
+            if i + 1 < parses.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -630,6 +713,16 @@ fn main() {
     }
 
     println!();
+    println!("parse (medians):");
+    let parses = run_parse_cases();
+    for p in &parses {
+        println!(
+            "{:<22} {:>5} lines {:>7} entries {:>9} bytes   {:>9.4} ms",
+            p.name, p.lines, p.entries, p.bytes, p.parse_ms
+        );
+    }
+
+    println!();
     let (utilities, weights, rows, dim) = random_parts(rand_n, rand_chords, dsts);
     let obs_disabled = PlacementObjective::from_parts(
         utilities.clone(),
@@ -648,7 +741,7 @@ fn main() {
         obs.disabled_ms, obs.enabled_ms, obs.overhead_ratio
     );
 
-    let json = render_json(quick, &evals, &solvers, &warms, &routings, &obs);
+    let json = render_json(quick, &evals, &solvers, &warms, &routings, &parses, &obs);
     std::fs::write(&out_path, &json).expect("write JSON report");
     println!();
     println!("wrote {out_path}");

@@ -1,11 +1,14 @@
-//! Minimal hand-rolled JSON: a value type, a recursive-descent parser, and
-//! a deterministic encoder.
+//! Minimal hand-rolled JSON: a value type, a recursive-descent pull reader
+//! with the tree parser built on it, and a deterministic encoder.
 //!
 //! The workspace builds with `CARGO_NET_OFFLINE=true` and vendors no serde,
 //! so the service protocol carries its own JSON layer — the write side
 //! extends the emitter style of `eval_bench.rs` into a reusable encoder,
 //! and the read side is a strict parser for the protocol subset: objects,
 //! arrays, strings (with `\uXXXX` escapes), finite numbers, booleans, null.
+//! [`Reader`] holds that grammar once; [`parse`] builds a [`Json`] tree
+//! through it, and a decoder that wants typed values (the trace reader in
+//! `nws-scenario`) reads them off the text with no tree.
 //!
 //! Intentional deviations from full RFC 8259, documented here so nobody
 //! trips on them later: no non-finite numbers on either side (encoding a
@@ -24,8 +27,9 @@
 //! encoder emits astral characters as raw UTF-8 (never as surrogate-pair
 //! escapes), which round-trips through the parser unchanged.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value. Objects preserve insertion order (`Vec` of pairs,
 /// not a map) so encoding is deterministic.
@@ -209,18 +213,9 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
 /// # Errors
 /// A message with the byte offset of the first problem.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        text,
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
+    let mut reader = Reader::new(text);
+    let value = reader.value()?;
+    reader.end()?;
     Ok(value)
 }
 
@@ -232,11 +227,23 @@ pub fn parse(text: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 128;
 
 /// Objects with more keys than this detect duplicates through a hash set;
-/// smaller ones (every protocol message) scan the keys so far, which
-/// allocates nothing.
+/// smaller ones (every protocol message) scan the keys so far.
 const KEY_SCAN_LIMIT: usize = 16;
 
-struct Parser<'a> {
+/// A pull reader over one JSON text, and the one implementation of this
+/// module's grammar: [`parse`] builds its tree through it, and a decoder
+/// that wants typed values reads them straight off the text instead, with
+/// no tree in between.
+///
+/// Every method that reads a value first skips the whitespace before it.
+/// Containers are read through callbacks ([`Reader::object`],
+/// [`Reader::array`]) so the separators, the depth cap and the
+/// duplicate-key rule stay here. A callback must read exactly one value,
+/// and a value it does not want goes through [`Reader::value`], which
+/// validates it as [`parse`] would. Errors carry the byte offset of the
+/// first problem, so a decoder reading the text in order reports the same
+/// syntax error [`parse`] would.
+pub struct Reader<'a> {
     /// The input; `bytes` is the same text, indexed bytewise.
     text: &'a str,
     bytes: &'a [u8],
@@ -244,27 +251,266 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
-    fn err<T>(&self, msg: &str) -> Result<T, String> {
+/// A number literal as the grammar reads it: plain unsigned integer
+/// digits keep their exact `u64`, anything else is a finite `f64`.
+#[derive(Clone, Copy)]
+enum Number {
+    UInt(u64),
+    Float(f64),
+}
+
+impl From<Number> for Json {
+    fn from(n: Number) -> Json {
+        match n {
+            Number::UInt(u) => Json::UInt(u),
+            Number::Float(x) => Json::Num(x),
+        }
+    }
+}
+
+/// The keys of one object read so far, for the duplicate-key rule: a scan
+/// of the first [`KEY_SCAN_LIMIT`], a hash set of the rest.
+#[derive(Default)]
+struct Keys<'a> {
+    few: Vec<Cow<'a, str>>,
+    many: Option<HashSet<Cow<'a, str>>>,
+}
+
+impl<'a> Keys<'a> {
+    /// Records `key`; `false` if the object already has it.
+    fn insert(&mut self, key: Cow<'a, str>) -> bool {
+        if self.few.contains(&key) {
+            return false;
+        }
+        if self.few.len() < KEY_SCAN_LIMIT {
+            self.few.push(key);
+            return true;
+        }
+        self.many.get_or_insert_with(HashSet::new).insert(key)
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Requires the rest of the input to be whitespace.
+    ///
+    /// # Errors
+    /// `trailing garbage` with the offset of the first other byte.
+    pub fn end(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing garbage at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// Reads the next value into a tree.
+    ///
+    /// # Errors
+    /// The first syntax error in the value.
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(|r, key| {
+                    let value = r.value()?;
+                    pairs.push((key.into_owned(), value));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(pairs))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r, _| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::from),
+            Some(_) => self.err(format_args!("unexpected character")),
+            None => self.err(format_args!("unexpected end of input")),
+        }
+    }
+
+    /// Reads an object, calling `field` with each key in order; `field`
+    /// must read that key's value. A value that is not an object is read
+    /// through [`Reader::value`] instead, and gives `false`.
+    ///
+    /// # Errors
+    /// The first syntax error, a repeated key, or an error from `field`.
+    pub fn object<F>(&mut self, mut field: F) -> Result<bool, String>
+    where
+        F: FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    {
+        self.skip_ws();
+        if self.peek() != Some(b'{') {
+            self.value()?;
+            return Ok(false);
+        }
+        self.pos += 1;
+        self.enter()?;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(true);
+        }
+        let mut keys = Keys::default();
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            if !keys.insert(key.clone()) {
+                return self.err(format_args!("duplicate key '{key}'"));
+            }
+            self.skip_ws();
+            self.expect(b':')?;
+            field(self, key)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(true);
+                }
+                _ => return self.err(format_args!("expected ',' or '}}'")),
+            }
+        }
+    }
+
+    /// Reads an array, calling `item` with each element's index; `item`
+    /// must read that element. A value that is not an array is read
+    /// through [`Reader::value`] instead, and gives `false`.
+    ///
+    /// # Errors
+    /// The first syntax error, or an error from `item`.
+    pub fn array<F>(&mut self, mut item: F) -> Result<bool, String>
+    where
+        F: FnMut(&mut Self, usize) -> Result<(), String>,
+    {
+        self.skip_ws();
+        if self.peek() != Some(b'[') {
+            self.value()?;
+            return Ok(false);
+        }
+        self.pos += 1;
+        self.enter()?;
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(true);
+        }
+        let mut index = 0;
+        loop {
+            item(self, index)?;
+            index += 1;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    self.depth -= 1;
+                    return Ok(true);
+                }
+                _ => return self.err(format_args!("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// Reads the next value: a string gives `Some`, borrowed from the
+    /// text unless it holds escapes; any other value is read through
+    /// [`Reader::value`] and gives `None`.
+    ///
+    /// # Errors
+    /// The first syntax error in the value.
+    #[inline]
+    pub fn opt_string(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        if self.peek() == Some(b'"') {
+            self.string().map(Some)
+        } else {
+            self.value().map(|_| None)
+        }
+    }
+
+    /// Reads the next value: a number gives `Some` of its value as
+    /// [`Json::as_f64`] reads it from the tree [`parse`] builds; any other
+    /// value is read through [`Reader::value`] and gives `None`.
+    ///
+    /// # Errors
+    /// The first syntax error in the value.
+    #[inline]
+    pub fn opt_f64(&mut self) -> Result<Option<f64>, String> {
+        Ok(self.opt_number()?.map(|n| match n {
+            Number::UInt(u) => u as f64,
+            Number::Float(x) => x,
+        }))
+    }
+
+    /// Reads the next value: a number gives its value as [`Json::as_u64`]
+    /// reads it from the tree [`parse`] builds, `None` for a number that is
+    /// not an exact nonnegative integer; any other value is read through
+    /// [`Reader::value`] and gives `None`.
+    ///
+    /// # Errors
+    /// The first syntax error in the value.
+    pub fn opt_u64(&mut self) -> Result<Option<u64>, String> {
+        Ok(self.opt_number()?.and_then(|n| Json::from(n).as_u64()))
+    }
+
+    #[inline]
+    fn opt_number(&mut self) -> Result<Option<Number>, String> {
+        self.skip_ws();
+        if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            self.number().map(Some)
+        } else {
+            self.value().map(|_| None)
+        }
+    }
+
+    /// An error at the current byte. Cold and out of line, so the hot
+    /// paths that can fail stay small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn err<T>(&self, msg: fmt::Arguments<'_>) -> Result<T, String> {
         Err(format!("{msg} at byte {}", self.pos))
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            self.err(&format!("expected '{}'", b as char))
+            self.err(format_args!("expected '{}'", b as char))
         }
     }
 
@@ -273,112 +519,50 @@ impl Parser<'_> {
             self.pos += word.len();
             Ok(value)
         } else {
-            self.err("invalid literal")
+            self.err(format_args!("invalid literal"))
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => self.err("unexpected character"),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
+    #[inline]
     fn enter(&mut self) -> Result<(), String> {
         self.depth += 1;
         if self.depth > MAX_DEPTH {
-            return self.err(&format!("nesting deeper than {MAX_DEPTH} levels"));
+            return self.err(format_args!("nesting deeper than {MAX_DEPTH} levels"));
         }
         Ok(())
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        self.enter()?;
-        let mut pairs: Vec<(String, Json)> = Vec::new();
-        let mut keys: Option<HashSet<String>> = None;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            let duplicate = match &mut keys {
-                Some(keys) => !keys.insert(key.clone()),
-                None => pairs.iter().any(|(k, _)| *k == key),
-            };
-            if duplicate {
-                return self.err(&format!("duplicate key '{key}'"));
-            }
-            if keys.is_none() && pairs.len() == KEY_SCAN_LIMIT {
-                keys = Some(
-                    pairs
-                        .iter()
-                        .map(|(k, _)| k.clone())
-                        .chain([key.clone()])
-                        .collect(),
-                );
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return self.err("expected ',' or '}'"),
-            }
-        }
+    /// Moves past the run of bytes up to the next quote or backslash (or
+    /// the end of input). Both ends of the run sit next to an ASCII byte
+    /// (or the end), never inside a multi-byte character, so the run is a
+    /// valid `&str` slice.
+    #[inline]
+    fn skip_run(&mut self) {
+        self.pos += self.bytes[self.pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(self.bytes.len() - self.pos);
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        self.enter()?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        self.skip_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        self.escaped_string(start).map(Cow::Owned)
+    }
+
+    /// The rest of a string that holds an escape (or is unterminated),
+    /// read from its first backslash; its text began at `start`.
+    fn escaped_string(&mut self, start: usize) -> Result<String, String> {
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
             match self.peek() {
-                None => return self.err("unterminated string"),
+                None => return self.err(format_args!("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -449,21 +633,15 @@ impl Parser<'_> {
                                 self.pos += 4;
                             }
                         }
-                        _ => return self.err("invalid escape"),
+                        _ => return self.err(format_args!("invalid escape")),
                     }
                     self.pos += 1;
                 }
                 Some(_) => {
                     // Copy the run up to the next quote or backslash in one
-                    // go. Infallible even on hostile input: the text is a
-                    // `&str`, and both ends of the run sit next to an ASCII
-                    // byte (or the end of input), which is never inside a
-                    // multi-byte character, so the slice is on character
-                    // boundaries.
+                    // go; infallible even on hostile input (see `skip_run`).
                     let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                        self.pos += 1;
-                    }
+                    self.skip_run();
                     out.push_str(&self.text[start..self.pos]);
                 }
             }
@@ -481,27 +659,23 @@ impl Parser<'_> {
         u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape at byte {}", self.pos))
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    #[inline]
+    fn number(&mut self) -> Result<Number, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        // Infallible: every byte consumed above matched an ASCII pattern
-        // (digits, sign, dot, exponent), so the slice is valid UTF-8.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        self.pos += self.bytes[start..]
+            .iter()
+            .position(|b| !matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-'))
+            .unwrap_or(self.bytes.len() - start);
+        // Every byte consumed above is ASCII, so the slice sits on
+        // character boundaries.
+        let text = &self.text[start..self.pos];
         // Plain unsigned integer literals keep exact u64 fidelity (counters
         // past 2^53 would silently round through f64). Anything else —
         // signs, fractions, exponents, or beyond-u64 digits — takes the
         // f64 path.
         if text.bytes().all(|b| b.is_ascii_digit()) {
             if let Ok(u) = text.parse::<u64>() {
-                return Ok(Json::UInt(u));
+                return Ok(Number::UInt(u));
             }
         }
         let x: f64 = text
@@ -510,9 +684,15 @@ impl Parser<'_> {
         if !x.is_finite() {
             return Err(format!("non-finite number '{text}' at byte {start}"));
         }
-        Ok(Json::Num(x))
+        Ok(Number::Float(x))
     }
 }
+
+/// Quadratic string or key handling takes minutes on the inputs the
+/// linear-time tests feed it; a linear decoder takes milliseconds, even in
+/// a debug build.
+#[cfg(test)]
+pub(crate) const LINEAR_LIMIT: std::time::Duration = std::time::Duration::from_secs(2);
 
 #[cfg(test)]
 mod tests {
@@ -657,10 +837,6 @@ mod tests {
         assert!(parse(&objs).is_err());
     }
 
-    /// Quadratic string or key handling takes minutes on the inputs
-    /// below; a linear parser takes milliseconds, even in a debug build.
-    const LINEAR_LIMIT: std::time::Duration = std::time::Duration::from_secs(2);
-
     #[test]
     fn megabyte_string_parses_in_linear_time() {
         let unit = "plain ascii, é, \u{1F600}, \\\"quoted\\\", \\u00e9\\n";
@@ -696,6 +872,88 @@ mod tests {
         assert!(parse(&small_dup)
             .unwrap_err()
             .contains("duplicate key 'key3'"));
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_reads_numbers_as_the_tree_does() {
+        let text = r#" {"plain":"A-B", "escaped":"a\nb", "skip":{"k":[null,true,{}]}, "n":7} "#;
+        let mut r = Reader::new(text);
+        let mut keys = Vec::new();
+        let is_object = r
+            .object(|r, key| {
+                match &*key {
+                    "plain" => assert!(matches!(r.opt_string()?, Some(Cow::Borrowed("A-B")))),
+                    "escaped" => {
+                        assert!(matches!(r.opt_string()?, Some(Cow::Owned(s)) if s == "a\nb"))
+                    }
+                    "n" => assert_eq!(r.opt_string()?, None),
+                    _ => assert_eq!(r.opt_f64()?, None),
+                }
+                keys.push(key.into_owned());
+                Ok(())
+            })
+            .unwrap();
+        assert!(is_object);
+        r.end().unwrap();
+        assert_eq!(keys, ["plain", "escaped", "skip", "n"]);
+
+        for literal in [
+            "0",
+            "3",
+            "3.0",
+            "3e0",
+            "-0",
+            "-3",
+            "2.5",
+            "1e300",
+            "9007199254740993",
+            "18446744073709551615",
+            "18446744073709551616",
+            "\"3\"",
+            "null",
+            "[3]",
+            "{}",
+        ] {
+            let tree = parse(literal).unwrap();
+            let mut r = Reader::new(literal);
+            assert_eq!(r.opt_u64().unwrap(), tree.as_u64(), "{literal}");
+            let mut r = Reader::new(literal);
+            let x = r.opt_f64().unwrap();
+            assert_eq!(
+                x.map(f64::to_bits),
+                tree.as_f64().map(f64::to_bits),
+                "{literal}"
+            );
+        }
+    }
+
+    #[test]
+    fn reader_reports_the_errors_parse_reports() {
+        for bad in [
+            "[1,}",
+            "{\"a\":1,\"a\":2}",
+            "[{\"k\":{\"x\":1,\"x\":1}}]",
+            "\"\\uD83D\"",
+            "1e999",
+            &format!(
+                "{}0{}",
+                "[".repeat(MAX_DEPTH + 1),
+                "]".repeat(MAX_DEPTH + 1)
+            ),
+        ] {
+            let expected = parse(bad).unwrap_err();
+            assert_eq!(
+                Reader::new(bad).opt_string().unwrap_err(),
+                expected,
+                "{bad}"
+            );
+            assert_eq!(Reader::new(bad).opt_f64().unwrap_err(), expected, "{bad}");
+            let skipped = Reader::new(bad).object(|r, _| r.value().map(drop));
+            assert_eq!(skipped.unwrap_err(), expected, "{bad}");
+        }
+        let mut r = Reader::new("[1] x");
+        assert!(r.array(|r, _| r.value().map(drop)).unwrap());
+        assert_eq!(r.end().unwrap_err(), parse("[1] x").unwrap_err());
     }
 
     #[test]

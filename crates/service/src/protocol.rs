@@ -7,6 +7,7 @@
 //! `"error"` string.
 
 use crate::json::{obj, parse, Json};
+use std::collections::HashSet;
 
 /// One decoded control-plane request.
 #[derive(Debug, Clone, PartialEq)]
@@ -322,6 +323,7 @@ fn updates_field(v: &Json) -> Result<Vec<(String, f64)>, String> {
         return Err(format!("'updates' batch exceeds {MAX_BATCH} entries"));
     }
     let mut out: Vec<(String, f64)> = Vec::with_capacity(arr.len());
+    let mut seen: HashSet<&str> = HashSet::with_capacity(arr.len());
     for (i, entry) in arr.iter().enumerate() {
         let pair = entry
             .as_arr()
@@ -338,7 +340,7 @@ fn updates_field(v: &Json) -> Result<Vec<(String, f64)>, String> {
                 "updates[{i}] must be a finite mean flow size > 1 packet, got {size}"
             ));
         }
-        if out.iter().any(|(seen, _)| seen == od) {
+        if !seen.insert(od) {
             return Err(format!("updates[{i}] duplicates OD '{od}' in the batch"));
         }
         out.push((od.to_string(), size));
@@ -681,5 +683,47 @@ mod tests {
             assert!(parse_request(bad).is_err(), "accepted {bad:?}");
         }
         assert!(parse_request(r#"{"cmd":"update_demands","updates":[["X",1.001]]}"#).is_ok());
+    }
+
+    /// A batch at the cap is the largest line a client may send; checking
+    /// its OD names pairwise would hold the connection's reader for
+    /// seconds.
+    #[test]
+    fn full_batch_parses_in_linear_time() {
+        let entries: Vec<String> = (0..MAX_BATCH)
+            .map(|i| format!("[\"od{i}\",{}]", 2 + i))
+            .collect();
+        let line = |body: &[String]| {
+            format!(
+                r#"{{"cmd":"update_demands","updates":[{}]}}"#,
+                body.join(",")
+            )
+        };
+        let t0 = std::time::Instant::now();
+        let req = parse_request(&line(&entries)).expect("a full batch parses");
+        let took = t0.elapsed();
+        let Request::UpdateDemands { updates } = req else {
+            panic!("parsed as {req:?}")
+        };
+        assert_eq!(updates.len(), MAX_BATCH);
+        assert_eq!(
+            updates[MAX_BATCH - 1],
+            (format!("od{}", MAX_BATCH - 1), (MAX_BATCH + 1) as f64)
+        );
+        assert!(
+            took < crate::json::LINEAR_LIMIT,
+            "a {MAX_BATCH}-entry batch took {took:?}"
+        );
+        // A duplicate placed last is still caught.
+        let mut dup = entries;
+        dup[MAX_BATCH - 1] = "[\"od0\",5]".into();
+        let err = parse_request(&line(&dup)).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "updates[{}] duplicates OD 'od0' in the batch",
+                MAX_BATCH - 1
+            )
+        );
     }
 }

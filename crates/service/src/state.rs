@@ -35,7 +35,7 @@ use nws_obs::Recorder;
 use nws_routing::failure::{bidirectional_pair, link_id_map, without_links};
 use nws_routing::{OdPair, RoutingMatrix};
 use nws_topo::{LinkId, Topology};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -1029,11 +1029,11 @@ fn ods_from_json(v: &Json, base: &Topology) -> Result<Vec<OdSpec>, String> {
         return Err("OD set must not be empty".into());
     }
     let mut out: Vec<OdSpec> = Vec::with_capacity(arr.len());
+    let mut names: HashSet<&str> = HashSet::with_capacity(arr.len());
     for od in arr {
         let field = |key: &str| {
             od.get(key)
                 .and_then(Json::as_str)
-                .map(str::to_string)
                 .ok_or(format!("OD entry missing string '{key}'"))
         };
         let name = field("name")?;
@@ -1046,18 +1046,18 @@ fn ods_from_json(v: &Json, base: &Topology) -> Result<Vec<OdSpec>, String> {
         if !(size.is_finite() && size > 1.0) {
             return Err(format!("OD '{name}' size must exceed 1 packet, got {size}"));
         }
-        for node in [&src, &dst] {
+        for node in [src, dst] {
             if base.node_by_name(node).is_none() {
                 return Err(format!("unknown node '{node}' in OD '{name}'"));
             }
         }
-        if out.iter().any(|o| o.name == name) {
+        if !names.insert(name) {
             return Err(format!("duplicate OD name '{name}'"));
         }
         out.push(OdSpec {
-            name,
-            src,
-            dst,
+            name: name.to_string(),
+            src: src.to_string(),
+            dst: dst.to_string(),
             size,
         });
     }

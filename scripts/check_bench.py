@@ -74,12 +74,14 @@ For eval reports, checks in order:
     regressions). Routing cases match on nodes/links/ods/sources and band
     spf_us, matrix_ms and link_loads_ms the same way; a quick report runs
     only the smaller routing cases, so only a full report must carry every
-    baselined one.
+    baselined one. Parse cases (the trace and protocol decoders) match on
+    lines/entries/bytes and band parse_ms; quick and full reports run the
+    same ones.
 
 --write-baselines on a quick eval report rewrites the eval, solver and
 warm baselines (the instances CI checks); on a full report it rewrites
 only the routing baselines, since only a full run times every routing
-case.
+case. Either report rewrites the parse baselines.
 
 Exit code 0 = all gates pass. Nonzero prints every failure, not just the
 first.
@@ -114,6 +116,8 @@ EVAL_FIELDS = (
 SOLVER_FIELDS = ("name", "num_ods", "serial_ms", "iterations", "kkt", "pr_iterations")
 ROUTING_SHAPE = ("nodes", "links", "ods", "sources")
 ROUTING_TIMES = ("spf_us", "matrix_ms", "link_loads_ms")
+PARSE_SHAPE = ("lines", "entries", "bytes")
+PARSE_TIMES = ("parse_ms",)
 WARM_FIELDS = (
     "name",
     "dim",
@@ -139,7 +143,8 @@ def finite_positive(xs):
 
 def check_schema(report):
     for key in ("bench", "quick", "available_cores", "obs",
-                "eval_cases", "solver_cases", "warm_cases", "routing_cases"):
+                "eval_cases", "solver_cases", "warm_cases", "routing_cases",
+                "parse_cases"):
         if key not in report:
             fail(f"schema: missing top-level key {key!r}")
     if failures:
@@ -173,16 +178,19 @@ def check_schema(report):
                 and outside >= 0):
             fail(f"schema: warm {case.get('name', '?')}.outside_ms malformed: "
                  f"{outside}")
-    if not report["routing_cases"]:
-        fail("schema: empty routing_cases list")
-    for case in report["routing_cases"]:
-        name = case.get("name", "?")
-        for key in ("name",) + ROUTING_SHAPE + ROUTING_TIMES:
-            if key not in case:
-                fail(f"schema: routing case {name} missing {key!r}")
-            elif key != "name" and not finite_positive([case[key]]):
-                fail(f"schema: routing {name}.{key} not finite-positive: "
-                     f"{case[key]}")
+    for section, fields in (("routing_cases", ROUTING_SHAPE + ROUTING_TIMES),
+                            ("parse_cases", PARSE_SHAPE + PARSE_TIMES)):
+        kind = section.split("_")[0]
+        if not report[section]:
+            fail(f"schema: empty {section} list")
+        for case in report[section]:
+            name = case.get("name", "?")
+            for key in ("name",) + fields:
+                if key not in case:
+                    fail(f"schema: {kind} case {name} missing {key!r}")
+                elif key != "name" and not finite_positive([case[key]]):
+                    fail(f"schema: {kind} {name}.{key} not finite-positive: "
+                         f"{case[key]}")
 
 
 def check_perf_gates(report):
@@ -232,42 +240,48 @@ def structure_of(report):
     }
 
 
-def routing_structure_of(report):
-    """The routing cases' exact instance shape plus banded timings."""
-    return [{key: c[key] for key in ("name",) + ROUTING_SHAPE + ROUTING_TIMES}
-            for c in report["routing_cases"]]
+def cases_structure_of(report, section, shape, times):
+    """A case list's exact instance shape plus banded timings."""
+    return [{key: c[key] for key in ("name",) + shape + times}
+            for c in report[section]]
 
 
-def check_routing_baselines(report, base):
-    by_name = {c["name"]: c for c in base.get("routing_cases", [])}
-    for c in report["routing_cases"]:
+def check_cases_baselines(report, base, section, shape, times, complete):
+    """Matches each case of `section` to its baseline by name: the shape
+    fields exactly, the times within TIMING_BAND. With `complete`, every
+    baselined case must be in the report."""
+    kind = section.split("_")[0]
+    by_name = {c["name"]: c for c in base.get(section, [])}
+    for c in report[section]:
         ref = by_name.pop(c["name"], None)
         if ref is None:
-            fail(f"baselines: new routing case {c['name']} — refresh baselines "
-                 f"from a full run")
+            fail(f"baselines: new {kind} case {c['name']} — refresh baselines")
             continue
-        for field in ROUTING_SHAPE:
+        for field in shape:
             if ref.get(field) != c[field]:
-                fail(f"baselines: routing {c['name']} {field} drifted "
+                fail(f"baselines: {kind} {c['name']} {field} drifted "
                      f"{ref.get(field)} -> {c[field]} — the instance changed, "
                      f"numbers not comparable")
-        for field in ROUTING_TIMES:
+        for field in times:
             if ref.get(field, 0) > 0:
                 r = c[field] / ref[field]
                 if r > TIMING_BAND or r < 1.0 / TIMING_BAND:
-                    fail(f"baselines: routing {c['name']} {field} off by "
+                    fail(f"baselines: {kind} {c['name']} {field} off by "
                          f"{r:.1f}x vs baseline ({ref[field]:.3f} -> "
                          f"{c[field]:.3f})")
-    if not report["quick"]:
+    if complete:
         for name in by_name:
-            fail(f"baselines: routing case {name} disappeared from the report")
+            fail(f"baselines: {kind} case {name} disappeared from the report")
 
 
 def write_eval_baselines(report):
     if report["quick"]:
         merge_baselines(None, structure_of(report))
     else:
-        merge_baselines("routing_cases", routing_structure_of(report))
+        merge_baselines("routing_cases", cases_structure_of(
+            report, "routing_cases", ROUTING_SHAPE, ROUTING_TIMES))
+    merge_baselines("parse_cases", cases_structure_of(
+        report, "parse_cases", PARSE_SHAPE, PARSE_TIMES))
 
 
 def check_baselines(report):
@@ -275,7 +289,10 @@ def check_baselines(report):
         fail(f"baselines: {BASELINES} missing — regenerate with --write-baselines")
         return
     base = json.loads(BASELINES.read_text())
-    check_routing_baselines(report, base)
+    check_cases_baselines(report, base, "routing_cases", ROUTING_SHAPE,
+                          ROUTING_TIMES, complete=not report["quick"])
+    check_cases_baselines(report, base, "parse_cases", PARSE_SHAPE,
+                          PARSE_TIMES, complete=True)
     cur = structure_of(report)
     for section in ("eval_cases", "solver_cases", "warm_cases"):
         by_key = {(c["name"], c.get("model")): c for c in base.get(section, [])}
@@ -674,7 +691,8 @@ def main():
           f"({len(report['eval_cases'])} eval, "
           f"{len(report['solver_cases'])} solver, "
           f"{len(report['warm_cases'])} warm, "
-          f"{len(report['routing_cases'])} routing cases; "
+          f"{len(report['routing_cases'])} routing, "
+          f"{len(report['parse_cases'])} parse cases; "
           f"obs ratio {report['obs']['overhead_ratio']:.4f})")
     return 0
 
