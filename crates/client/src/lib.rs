@@ -192,11 +192,6 @@ impl Client {
         self.stats
     }
 
-    /// Whether a physical connection is currently open.
-    pub fn is_connected(&self) -> bool {
-        self.conn.is_some()
-    }
-
     /// Sends one typed request and returns the daemon's response object.
     ///
     /// State-changing requests are stamped with a fresh idempotency key;
@@ -383,17 +378,23 @@ impl Client {
         self.conn = None;
     }
 
-    /// Sleeps the jittered exponential backoff for the given retry index.
+    /// Sleeps the backoff for the given retry index.
     fn sleep_backoff(&mut self, attempt: u32) {
+        let delay = self.backoff_delay(attempt);
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+    }
+
+    /// The jittered exponential backoff for the given retry index:
+    /// `backoff_base_ms · 2^min(attempt, 16)`, capped at `backoff_max_ms`.
+    fn backoff_delay(&mut self, attempt: u32) -> Duration {
         let exp = self
             .cfg
             .backoff_base_ms
             .saturating_mul(1u64 << attempt.min(16))
             .min(self.cfg.backoff_max_ms);
-        let delay = self.jittered(exp);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
+        self.jittered(exp)
     }
 
     /// Half-fixed half-random jitter: `ms/2 + rng % (ms/2 + 1)`,
@@ -404,19 +405,12 @@ impl Client {
         Duration::from_millis(half + self.rng % (half + 1))
     }
 
-    /// The backoff delays this client would sleep, for tests and for
-    /// pre-computing worst-case harness durations.
-    #[doc(hidden)]
-    pub fn backoff_preview(cfg: &ClientConfig, retries: u32) -> Vec<u64> {
+    /// The backoff delays a fresh client would sleep, in milliseconds.
+    #[cfg(test)]
+    fn backoff_preview(cfg: &ClientConfig, retries: u32) -> Vec<u64> {
         let mut c = Client::new(cfg.clone());
         (0..retries)
-            .map(|attempt| {
-                let exp = cfg
-                    .backoff_base_ms
-                    .saturating_mul(1u64 << attempt.min(16))
-                    .min(cfg.backoff_max_ms);
-                c.jittered(exp).as_millis() as u64
-            })
+            .map(|attempt| c.backoff_delay(attempt).as_millis() as u64)
             .collect()
     }
 }

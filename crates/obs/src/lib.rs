@@ -190,6 +190,21 @@ impl Recorder {
             .map(|(_, v)| *v)
     }
 
+    /// Calls `f` with the name, label and value of every counter, in
+    /// registration order, under one lock and without copying the
+    /// registry as [`Recorder::snapshot`] does. `f` runs under the
+    /// registry's lock, so it must not record. Calls nothing on a disabled
+    /// recorder.
+    pub fn for_each_counter(
+        &self,
+        mut f: impl FnMut(&'static str, Option<(&'static str, &'static str)>, u64),
+    ) {
+        let Some(reg) = &self.inner else { return };
+        for (k, v) in &reg.lock().counters {
+            f(k.name, k.label, *v);
+        }
+    }
+
     /// Sets the gauge `name` to `value` (last write wins).
     pub fn gauge_set(&self, name: &'static str, value: f64) {
         let Some(reg) = &self.inner else { return };
@@ -683,6 +698,25 @@ mod tests {
         assert_eq!(rec.snapshot().counter("requests_total"), Some(2));
         assert_eq!(rec.counter("requests_total"), Some(2));
         assert_eq!(Recorder::disabled().counter("requests_total"), None);
+    }
+
+    #[test]
+    fn for_each_counter_visits_every_member_in_order() {
+        let rec = Recorder::enabled();
+        rec.counter_add_labeled("requests_total", "cmd", "ping", 2);
+        rec.counter_add("shed_total", 1);
+        rec.counter_add_labeled("requests_total", "cmd", "ping", 3);
+        rec.gauge_set("depth", 4.0);
+        let mut seen = Vec::new();
+        rec.for_each_counter(|name, label, value| seen.push((name, label, value)));
+        assert_eq!(
+            seen,
+            vec![
+                ("requests_total", Some(("cmd", "ping")), 5),
+                ("shed_total", None, 1),
+            ]
+        );
+        Recorder::disabled().for_each_counter(|_, _, _| panic!("disabled has no counters"));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::read_path::{
     LAST_GOOD_FALLBACKS, PAIRED_WARM_ITERATIONS, READS_LOCKFREE, RESOLVE_LATENCY,
     SHADOW_COLD_ITERATIONS, SHADOW_COLD_LATENCY, SHED, WARM_ITERATIONS,
 };
-use crate::sli::{Kind, RateWindows};
+use crate::sli::RateWindows;
 use crate::state::{ColdComparison, ServiceState, SolveReport};
 use crate::ServiceError;
 use nws_obs::{Recorder, Snapshot};
@@ -185,8 +185,8 @@ pub struct Daemon {
     persistence_error: Option<String>,
     /// Resolved queue capacity (fixed at startup), for `health`.
     capacity: usize,
-    /// RFC-0019 rate windows behind `health`'s 1s/10s/60s SLIs; shared
-    /// with connection threads.
+    /// RFC-0019 rate windows behind `health`'s 1s/10s/60s SLIs, sampled
+    /// from `recorder`; shared with connection threads.
     sli: Arc<RateWindows>,
     /// The atomically-swapped read snapshot (the lock-free read path).
     cell: Arc<SnapshotCell>,
@@ -227,6 +227,7 @@ impl Daemon {
             wal_stats: Json::Null,
             queue_capacity: 0,
         };
+        let sli = Arc::new(RateWindows::new(recorder.clone()));
         Daemon {
             state,
             opts,
@@ -240,7 +241,7 @@ impl Daemon {
             persistence_degraded: false,
             persistence_error: None,
             capacity: 0,
-            sli: Arc::new(RateWindows::new()),
+            sli,
             cell: Arc::new(SnapshotCell::new(placeholder)),
             commit_epoch: 0,
             dedup: DedupWindow::default(),
@@ -379,6 +380,7 @@ impl Daemon {
                 .map_err(|e| ServiceError::State(format!("cannot write '{path}': {e}")))?;
         }
         if let Some(path) = self.opts.metrics_out.clone() {
+            self.sli.windows().export_gauges(&self.recorder);
             let text = self.recorder.snapshot().exposition(self.opts.trace);
             std::fs::write(&path, text)
                 .map_err(|e| ServiceError::State(format!("cannot write '{path}': {e}")))?;
@@ -586,18 +588,13 @@ impl Daemon {
                     self.flush_coalesced(&mut buf);
                     break;
                 };
+                self.sli.sample();
                 let d = self.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
                 depth_max = depth_max.max(d + 1);
                 self.recorder.gauge_set("daemon_queue_depth", d as f64);
                 self.recorder
                     .gauge_set("daemon_queue_depth_max", depth_max as f64);
                 self.recorder.counter_add("daemon_jobs_enqueued_total", 1);
-                self.sli.record(Kind::Request);
-                match &item {
-                    Ok(inc) if inc.req.is_mutating() => self.sli.record(Kind::Mutate),
-                    Ok(inc) if inc.req.is_read_only() => self.sli.record(Kind::Read),
-                    _ => {}
-                }
                 // Coalescable? Buffer it and keep receiving. (Never during
                 // shutdown drain: those must resolve before the loop ends.)
                 let item = match item {
@@ -859,10 +856,9 @@ impl Daemon {
         }
     }
 
-    /// Counts one error response, in the registry and the SLI windows.
+    /// Counts one error response.
     fn count_error(&self) {
         self.recorder.counter_add(ERRORS, 1);
-        self.sli.record(Kind::Error);
     }
 
     /// Records one served re-solve: the one place the registry counts it
@@ -884,7 +880,6 @@ impl Daemon {
         }
         if report.degraded {
             rec.counter_add(DEGRADED_SOLVES, 1);
-            self.sli.record(Kind::DegradedSolve);
         }
         if report.fallback == Some("last_good") {
             rec.counter_add(LAST_GOOD_FALLBACKS, 1);
@@ -1671,6 +1666,13 @@ mod tests {
                 .as_u64(),
             Some(0)
         );
+        // The SLI gauges are refreshed for `metrics`, with no `health` sent.
+        let request_rate = metrics
+            .get("gauges")
+            .unwrap()
+            .get("sli_request_rate_60s")
+            .and_then(Json::as_f64);
+        assert!(request_rate.is_some_and(|r| r > 0.0), "{request_rate:?}");
         // Per-command latency histograms, one per observed command label.
         let histograms = metrics.get("histograms").unwrap().as_arr().unwrap();
         let names: Vec<&str> = histograms
@@ -1722,6 +1724,9 @@ mod tests {
         assert!(text.contains("degraded_solves 0"));
         assert!(text.contains("daemon_overload_shed_total 0"));
         assert!(text.contains("persistence_degraded 0"));
+        // The SLI gauges are refreshed before the file is written.
+        assert!(text.contains("\nsli_state 0\n"), "{text}");
+        assert!(text.contains("\nsli_request_rate_60s "), "{text}");
         assert!(text.contains("# span solve"), "trace appends span tree");
         // Every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {

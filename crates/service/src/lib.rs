@@ -35,9 +35,10 @@
 //!   read-only commands lock-free, and the event loop answers reads
 //!   queued behind their own connection's request, with the same code;
 //!   also renders `stats` from the registry.
-//! - [`sli`] — RFC-0019-style SLI rate windows (1s/10s/60s request, shed,
-//!   and degraded-solve rates with OK/WARN/CRIT classification) behind the
-//!   extended `health` payload.
+//! - [`sli`] — RFC-0019-style SLI rate windows behind the extended
+//!   `health` payload: 1s/10s/60s request, read, mutate, shed, error and
+//!   degraded-solve rates with OK/WARN/CRIT classification, taken as
+//!   deltas of the registry's counters between per-second samples.
 //!
 //! See `DESIGN.md` §8 for the protocol grammar and the state machine,
 //! §9 for the observability substrate, and §14 for the serving

@@ -119,16 +119,7 @@ impl Request {
     /// Whether the request mutates network state (and therefore triggers a
     /// re-solve on success).
     pub fn is_mutating(&self) -> bool {
-        matches!(
-            self,
-            Request::UpdateDemand { .. }
-                | Request::UpdateDemands { .. }
-                | Request::FailLink { .. }
-                | Request::RestoreLink { .. }
-                | Request::AddOd { .. }
-                | Request::RemoveOd { .. }
-                | Request::SetTheta { .. }
-        )
+        access(self.name()) == Access::Mutate
     }
 
     /// Whether the request changes recoverable daemon state: the mutating
@@ -140,17 +131,8 @@ impl Request {
 
     /// Whether the request is answerable from the published read snapshot
     /// (the lock-free read path): no state change, no expensive rebuild.
-    /// `query_accuracy` is deliberately excluded — read-only but costly
-    /// (Monte-Carlo runs), so it stays on the bounded queue.
     pub fn is_read_only(&self) -> bool {
-        matches!(
-            self,
-            Request::QueryRates
-                | Request::Stats
-                | Request::Health
-                | Request::Metrics
-                | Request::Ping
-        )
+        access(self.name()) == Access::Read
     }
 
     /// Re-encodes the request as its wire JSON object — the inverse of
@@ -212,6 +194,33 @@ impl Request {
             | Request::Shutdown => {}
         }
         obj(pairs)
+    }
+}
+
+/// How a command uses the served state, which decides its path through
+/// the daemon and the SLI kind its requests count under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// Answered from the published read snapshot, lock-free.
+    Read,
+    /// Changes network state and re-solves on success.
+    Mutate,
+    /// Queued but neither: `query_accuracy`, `snapshot`, `rollback`,
+    /// `shutdown`, and the `invalid` label of an unparseable line.
+    Other,
+}
+
+/// The access class of the command named `cmd` (its wire name, as in
+/// `daemon_requests_total{cmd}`): the one list of the read-only and the
+/// mutating commands. `query_accuracy` is deliberately not a read — it
+/// changes nothing but runs Monte-Carlo simulations, so it stays on the
+/// bounded queue.
+pub fn access(cmd: &str) -> Access {
+    match cmd {
+        "query_rates" | "stats" | "health" | "metrics" | "ping" => Access::Read,
+        "update_demand" | "update_demands" | "fail_link" | "restore_link" | "add_od"
+        | "remove_od" | "set_theta" => Access::Mutate,
+        _ => Access::Other,
     }
 }
 
@@ -581,6 +590,61 @@ mod tests {
         assert!(!parse_request(r#"{"cmd":"snapshot"}"#)
             .unwrap()
             .is_mutating());
+    }
+
+    #[test]
+    fn every_command_has_one_access_class() {
+        let reads = ["query_rates", "stats", "health", "metrics", "ping"];
+        let mutates = [
+            "update_demand",
+            "update_demands",
+            "fail_link",
+            "restore_link",
+            "add_od",
+            "remove_od",
+            "set_theta",
+        ];
+        let others = [
+            "query_accuracy",
+            "snapshot",
+            "rollback",
+            "shutdown",
+            "invalid",
+        ];
+        for (names, class) in [
+            (&reads[..], Access::Read),
+            (&mutates[..], Access::Mutate),
+            (&others[..], Access::Other),
+        ] {
+            for name in names {
+                assert_eq!(access(name), class, "{name}");
+            }
+        }
+        // Every parseable command is listed above, under its wire name.
+        for line in [
+            r#"{"cmd":"update_demand","od":"X","size":2}"#,
+            r#"{"cmd":"update_demands","updates":[["X",5]]}"#,
+            r#"{"cmd":"fail_link","a":"FR","b":"DE"}"#,
+            r#"{"cmd":"restore_link","a":"FR","b":"DE"}"#,
+            r#"{"cmd":"add_od","name":"N","src":"FR","dst":"DE","size":2}"#,
+            r#"{"cmd":"remove_od","name":"N"}"#,
+            r#"{"cmd":"set_theta","theta":1}"#,
+            r#"{"cmd":"query_rates"}"#,
+            r#"{"cmd":"query_accuracy"}"#,
+            r#"{"cmd":"snapshot"}"#,
+            r#"{"cmd":"rollback"}"#,
+            r#"{"cmd":"stats"}"#,
+            r#"{"cmd":"metrics"}"#,
+            r#"{"cmd":"health"}"#,
+            r#"{"cmd":"ping"}"#,
+            r#"{"cmd":"shutdown"}"#,
+        ] {
+            let req = parse_request(line).unwrap();
+            let name = req.name();
+            assert!(reads.contains(&name) || mutates.contains(&name) || others.contains(&name));
+            assert_eq!(req.is_read_only(), reads.contains(&name), "{name}");
+            assert_eq!(req.is_mutating(), mutates.contains(&name), "{name}");
+        }
     }
 
     #[test]

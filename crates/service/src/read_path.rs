@@ -25,7 +25,7 @@
 use crate::daemon::{metrics_json, retry_after_ms};
 use crate::json::{obj, Json};
 use crate::protocol::Request;
-use crate::sli::{Kind, RateWindows};
+use crate::sli::RateWindows;
 use nws_obs::{Recorder, Snapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -48,8 +48,9 @@ pub(crate) const READS_LOCKFREE: &str = "daemon_reads_served_lockfree_total";
 
 /// Point-in-time, immutable serving state published by the event loop.
 /// Everything needed to answer the read-only commands is precomputed here;
-/// the live overlays are the queue-depth atomic, the registry's request
-/// and shed counts, and the SLI windows.
+/// the live overlays are the queue-depth atomic and the registry's
+/// counters, which give `stats` its request counts and `health` its SLI
+/// windows.
 #[derive(Debug, Clone)]
 pub struct ReadSnapshot {
     /// Commit epoch: bumped on every committed state mutation (startup
@@ -210,12 +211,11 @@ pub(crate) struct ReadHandle {
 
 impl ReadHandle {
     /// Answers a read-only `req` on a connection thread, counting it as a
-    /// request, as a lock-free read, and in the SLI windows.
+    /// request and as a lock-free read after the SLI windows' sample.
     pub fn answer_lockfree(&self, req: &Request) -> Json {
+        self.sli.sample();
         count_request(&self.recorder, req.name());
         self.recorder.counter_add(READS_LOCKFREE, 1);
-        self.sli.record(Kind::Request);
-        self.sli.record(Kind::Read);
         self.answer(req)
     }
 
@@ -252,8 +252,8 @@ impl ReadHandle {
                 } else {
                     "ok"
                 };
-                let now_s = self.sli.now_s();
-                let (level, reasons) = self.sli.classify_at(now_s);
+                let windows = self.sli.windows();
+                let (level, reasons) = windows.classify();
                 let mut payload = vec![
                     ("status", Json::Str(status.into())),
                     ("sli", Json::Str(level.as_str().into())),
@@ -265,18 +265,18 @@ impl ReadHandle {
                     ("serving_uncertified", Json::Bool(snap.serving_uncertified)),
                     ("degraded_solves", Json::UInt(snap.degraded_solves)),
                     ("last_good_fallbacks", Json::UInt(snap.last_good_fallbacks)),
-                    ("shed", Json::UInt(self.recorder.counter(SHED).unwrap_or(0))),
+                    ("shed", Json::UInt(windows.live.shed)),
                     (
                         "queue_depth",
                         Json::UInt(self.queue_depth.load(Ordering::Relaxed)),
                     ),
                     ("queue_capacity", Json::UInt(snap.queue_capacity)),
-                    ("rates", self.sli.rates_json_at(now_s)),
+                    ("rates", windows.rates_json()),
                 ];
                 if let Some(why) = &snap.persistence_error {
                     payload.push(("persistence_error", Json::Str(why.clone())));
                 }
-                self.sli.export_gauges(&self.recorder);
+                windows.export_gauges(&self.recorder);
                 self.ok(req, &snap, payload)
             }
             Request::Metrics => {
@@ -284,6 +284,7 @@ impl ReadHandle {
                 // snapshot here never touches the event loop. WAL stats
                 // are owned by the loop, so they come from the published
                 // snapshot instead.
+                self.sli.windows().export_gauges(&self.recorder);
                 let mut metrics = metrics_json(&self.recorder.snapshot());
                 if let Json::Obj(pairs) = &mut metrics {
                     pairs.push(("wal_stats".to_string(), snap.wal_stats.clone()));
@@ -311,9 +312,8 @@ impl ReadHandle {
     /// The shed response for a full queue, with an EWMA-derived
     /// `retry_after_ms` hint.
     pub fn overloaded(&self) -> Json {
+        self.sli.sample();
         self.recorder.counter_add(SHED, 1);
-        self.sli.record(Kind::Request);
-        self.sli.record(Kind::Shed);
         let hint = retry_after_ms(
             f64::from_bits(self.ewma_ms_bits.load(Ordering::Relaxed)),
             self.capacity,

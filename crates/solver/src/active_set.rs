@@ -72,22 +72,10 @@ impl ActiveSet {
         self.states[i] == VarState::Free
     }
 
-    /// Number of free variables.
-    pub fn num_free(&self) -> usize {
-        self.states.iter().filter(|&&s| s == VarState::Free).count()
-    }
-
     /// Indices of free variables.
     pub fn free_indices(&self) -> Vec<usize> {
         (0..self.states.len())
             .filter(|&i| self.is_free(i))
-            .collect()
-    }
-
-    /// Indices of variables clamped at either bound.
-    pub fn clamped_indices(&self) -> Vec<usize> {
-        (0..self.states.len())
-            .filter(|&i| !self.is_free(i))
             .collect()
     }
 
@@ -125,9 +113,7 @@ mod tests {
         assert_eq!(a.state(0), VarState::AtLower);
         assert_eq!(a.state(1), VarState::Free);
         assert_eq!(a.state(2), VarState::AtUpper);
-        assert_eq!(a.num_free(), 1);
         assert_eq!(a.free_indices(), vec![1]);
-        assert_eq!(a.clamped_indices(), vec![0, 2]);
         assert!(!a.is_empty());
         assert_eq!(a.len(), 3);
     }
@@ -157,7 +143,6 @@ mod tests {
     #[test]
     fn all_free_constructor() {
         let a = ActiveSet::all_free(4);
-        assert_eq!(a.num_free(), 4);
-        assert!(a.clamped_indices().is_empty());
+        assert_eq!(a.free_indices(), vec![0, 1, 2, 3]);
     }
 }

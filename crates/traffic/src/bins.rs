@@ -64,20 +64,10 @@ impl BinGrid {
         (start, start + self.width)
     }
 
-    /// Partitions flow indices by the bin of their start time; flows outside
-    /// the grid are dropped (as a collector would drop records outside its
-    /// collection window).
-    pub fn bin_flows(&self, flows: &[Flow]) -> Vec<Vec<usize>> {
-        let mut bins = vec![Vec::new(); self.num_bins];
-        for (i, f) in flows.iter().enumerate() {
-            if let Some(b) = self.bin_of(f.start) {
-                bins[b].push(i);
-            }
-        }
-        bins
-    }
-
     /// Aggregates per-OD packet totals per bin: result `[bin][od] = packets`.
+    /// Flows fall in the bin of their start time; flows outside the grid
+    /// are dropped (as a collector would drop records outside its
+    /// collection window).
     pub fn od_sizes_per_bin(&self, flows: &[Flow], num_ods: usize) -> Vec<Vec<u64>> {
         let mut out = vec![vec![0u64; num_ods]; self.num_bins];
         for f in flows {
@@ -135,14 +125,8 @@ mod tests {
             &FlowMixParams::default(),
         ));
         let g = BinGrid::paper_intervals(2);
-        let bins = g.bin_flows(&flows);
-        assert_eq!(bins[0].len() + bins[1].len(), flows.len());
-        for &i in &bins[0] {
-            assert!(flows[i].start < 300.0);
-        }
-        for &i in &bins[1] {
-            assert!(flows[i].start >= 300.0);
-        }
+        let sizes = g.od_sizes_per_bin(&flows, 2);
+        assert_eq!(sizes, vec![vec![10_000, 0], vec![0, 5_000]]);
     }
 
     #[test]
@@ -168,8 +152,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(43);
         let flows = generate_flows(&mut rng, 0, 1_000, 900.0, 300.0, &FlowMixParams::default());
         let g = BinGrid::paper_intervals(2); // covers [0, 600) only
-        let bins = g.bin_flows(&flows);
-        assert!(bins.iter().all(|b| b.is_empty()));
         let sizes = g.od_sizes_per_bin(&flows, 1);
         assert!(sizes.iter().all(|row| row[0] == 0));
     }

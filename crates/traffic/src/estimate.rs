@@ -52,29 +52,6 @@ pub fn expected_sre(rho: f64, inv_mean_size: f64) -> f64 {
     (1.0 - rho) / rho * inv_mean_size
 }
 
-/// A two-sided confidence interval for an inverted size estimate.
-///
-/// Based on the normal approximation to `X ~ Binomial(S, ρ)` with the
-/// estimator's own variance estimate: `Ŝ = x/ρ`,
-/// `Var(Ŝ) ≈ Ŝ·(1−ρ)/ρ`, so the interval is `Ŝ ± z·√(Ŝ(1−ρ)/ρ)`.
-/// The lower bound is clamped at 0.
-///
-/// `z` is the standard-normal quantile for the desired coverage
-/// (1.96 → 95 %, 2.576 → 99 %).
-///
-/// # Panics
-/// Panics unless `ρ ∈ (0, 1]` and `z ≥ 0`.
-pub fn confidence_interval(sampled: u64, rho: f64, z: f64) -> (f64, f64) {
-    assert!(
-        rho.is_finite() && rho > 0.0 && rho <= 1.0,
-        "effective rate must be in (0,1], got {rho}"
-    );
-    assert!(z.is_finite() && z >= 0.0, "z must be ≥ 0, got {z}");
-    let est = sampled as f64 / rho;
-    let half = z * (est * (1.0 - rho) / rho).sqrt();
-    ((est - half).max(0.0), est + half)
-}
-
 /// Estimates `c = E[1/S]` from historical per-interval OD sizes — the input
 /// the utility function needs (paper §IV-C). For fluctuating sizes,
 /// `E[1/S] > 1/E[S]` (Jensen), so using observed intervals rather than the
@@ -210,50 +187,6 @@ mod tests {
     #[should_panic(expected = "actual size must be positive")]
     fn accuracy_zero_actual_panics() {
         let _ = accuracy(1.0, 0.0);
-    }
-
-    #[test]
-    fn confidence_interval_covers_truth() {
-        // Empirical coverage of the 95% interval over repeated sampling.
-        let mut rng = StdRng::seed_from_u64(33);
-        let s = 200_000u64;
-        let rho = 0.003;
-        let b = Binomial::new(s, rho);
-        let runs = 2000;
-        let covered = (0..runs)
-            .filter(|_| {
-                let x = b.sample(&mut rng);
-                let (lo, hi) = confidence_interval(x, rho, 1.96);
-                (lo..=hi).contains(&(s as f64))
-            })
-            .count();
-        let coverage = covered as f64 / runs as f64;
-        assert!(
-            (coverage - 0.95).abs() < 0.02,
-            "95% CI empirical coverage {coverage}"
-        );
-    }
-
-    #[test]
-    fn confidence_interval_edges() {
-        // Full sampling: zero-width interval at the truth.
-        let (lo, hi) = confidence_interval(1000, 1.0, 1.96);
-        assert_eq!(lo, 1000.0);
-        assert_eq!(hi, 1000.0);
-        // Zero samples: collapses to [0, 0] (variance estimate is 0 too —
-        // the caller should treat unobserved ODs separately).
-        let (lo, hi) = confidence_interval(0, 0.01, 1.96);
-        assert_eq!(lo, 0.0);
-        assert_eq!(hi, 0.0);
-        // Lower bound clamped at zero for small counts.
-        let (lo, _) = confidence_interval(1, 0.0001, 2.576);
-        assert_eq!(lo, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "z must be ≥ 0")]
-    fn negative_z_rejected() {
-        let _ = confidence_interval(1, 0.5, -1.0);
     }
 
     #[test]

@@ -55,47 +55,36 @@ pub fn simulate_distinct_sampled<R: Rng + ?Sized>(rng: &mut R, size: u64, rates:
     Binomial::new(size, rho).sample(rng)
 }
 
-/// Simulates the per-monitor sampled counts for one OD pair (each monitor
-/// independently catches `Binomial(size, p_i)` packets). Useful for
-/// capacity-consumption accounting, where double-counting across monitors
-/// *does* consume resources even though estimation dedups it.
-pub fn simulate_per_monitor<R: Rng + ?Sized>(rng: &mut R, size: u64, rates: &[f64]) -> Vec<u64> {
-    rates
-        .iter()
-        .map(|&p| Binomial::new(size, p).sample(rng))
-        .collect()
-}
-
-/// Reference packet-level simulation: loops over every packet and every
-/// monitor with individual Bernoulli draws, returning the distinct-sampled
-/// count. `O(size × monitors)` — intended as the ground-truth oracle for
-/// validating [`simulate_distinct_sampled`]'s Binomial shortcut, not for
-/// production workloads (which reach 10⁷ packets per interval).
-///
-/// # Panics
-/// Panics if any rate is outside `[0, 1]`.
-pub fn simulate_packet_level<R: Rng + ?Sized>(rng: &mut R, size: u64, rates: &[f64]) -> u64 {
-    for &p in rates {
-        assert!(
-            p.is_finite() && (0.0..=1.0).contains(&p),
-            "sampling rate must be in [0,1], got {p}"
-        );
-    }
-    let mut caught = 0u64;
-    for _ in 0..size {
-        // A packet is counted once if any monitor on the path samples it.
-        if rates.iter().any(|&p| rng.random::<f64>() < p) {
-            caught += 1;
-        }
-    }
-    caught
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Reference packet-level simulation: loops over every packet and every
+    /// monitor with individual Bernoulli draws, returning the distinct-sampled
+    /// count. `O(size × monitors)` — intended as the ground-truth oracle for
+    /// validating [`simulate_distinct_sampled`]'s Binomial shortcut, not for
+    /// production workloads (which reach 10⁷ packets per interval).
+    ///
+    /// # Panics
+    /// Panics if any rate is outside `[0, 1]`.
+    fn simulate_packet_level<R: Rng + ?Sized>(rng: &mut R, size: u64, rates: &[f64]) -> u64 {
+        for &p in rates {
+            assert!(
+                p.is_finite() && (0.0..=1.0).contains(&p),
+                "sampling rate must be in [0,1], got {p}"
+            );
+        }
+        let mut caught = 0u64;
+        for _ in 0..size {
+            // A packet is counted once if any monitor on the path samples it.
+            if rates.iter().any(|&p| rng.random::<f64>() < p) {
+                caught += 1;
+            }
+        }
+        caught
+    }
 
     #[test]
     fn exact_rate_basic() {
@@ -154,24 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn per_monitor_counts_independent_means() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let size = 500_000u64;
-        let rates = [0.01, 0.001];
-        let runs = 200;
-        let mut acc = [0u64; 2];
-        for _ in 0..runs {
-            let counts = simulate_per_monitor(&mut rng, size, &rates);
-            acc[0] += counts[0];
-            acc[1] += counts[1];
-        }
-        let m0 = acc[0] as f64 / runs as f64;
-        let m1 = acc[1] as f64 / runs as f64;
-        assert!((m0 / 5000.0 - 1.0).abs() < 0.05, "monitor0 mean {m0}");
-        assert!((m1 / 500.0 - 1.0).abs() < 0.1, "monitor1 mean {m1}");
-    }
-
-    #[test]
     fn binomial_shortcut_matches_packet_level_oracle() {
         // The production path draws Binomial(size, 1 − Π(1−p)); the oracle
         // loops per packet per monitor. Same distribution: compare the first
@@ -201,6 +172,5 @@ mod tests {
     fn no_monitors_no_samples() {
         let mut rng = StdRng::seed_from_u64(23);
         assert_eq!(simulate_distinct_sampled(&mut rng, 1_000_000, &[]), 0);
-        assert!(simulate_per_monitor(&mut rng, 100, &[]).is_empty());
     }
 }

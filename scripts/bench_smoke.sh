@@ -2,17 +2,21 @@
 # Smoke-run of the performance surfaces, split into named stages so CI can
 # gate on them independently:
 #
-#   ./scripts/bench_smoke.sh [stage ...]     stages: eval replay serve-load
-#                                            wal serve chaos chaos-net
-#                                            (no args = all stages)
+#   ./scripts/bench_smoke.sh [stage ...]     stages: results eval replay
+#                                            serve-load wal serve chaos
+#                                            chaos-net (no args = all stages)
 #
+#   results  the reproduced outputs, pinned: every experiment binary
+#          (target/release/<name>, no arguments) must print its committed
+#          results/<name>.txt, apart from the `=== done in` footer.
 #   eval   objective-evaluation micro-benchmark (--quick) producing
 #          BENCH_eval.json, then scripts/check_bench.py enforcing the
 #          blocking perf gates (obs overhead <= 1.05, every solver and warm
 #          case certified) plus the committed structural baselines.
 #   replay scenario-engine accuracy sweep: generate the bench trace, replay
 #          it at budgets 1/4/12 in reactive and forecast modes producing
-#          BENCH_replay.json, double-run determinism check, then
+#          BENCH_replay.json, double-run determinism check, the replay CSV
+#          against its committed sha256, then
 #          scripts/check_bench.py enforcing the accuracy gates (gap monotone
 #          in budget, forecast >= reactive at equal budget, full budget
 #          tracks the oracle).
@@ -35,13 +39,38 @@
 #          enforces the convergence gates (exactly-once mutations, zero
 #          torn lines, final state identical to the fault-free baseline).
 #
-# CI runs `eval replay serve-load` as the blocking perf-gates job and
-# `wal serve chaos chaos-net` as the non-blocking resilience job. Run
+# CI runs `results` in the blocking checks job, `eval replay serve-load`
+# as the blocking perf-gates job and `wal serve chaos chaos-net` as the
+# non-blocking resilience job. Run
 # eval_bench/wal_bench/serve_load manually (without --quick) for
 # publishable numbers.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# sha256 of `nws replay --budgets 1,4,12` on the bench trace. A change that
+# moves the replay's numbers updates it and names the moved lines.
+REPLAY_CSV_SHA256=a5e8aaed7dbcbd8a3482b2248d13a6df985ca9baf29725c6e16e8950f64ad0d8
+
+stage_results() {
+    # Experiments are seeded and deterministic, so their outputs are
+    # compared byte for byte; only the wall-time footer varies. A change
+    # that moves an output regenerates the file in the same change.
+    cargo build --release -p nws-bench --bins
+    failed=0
+    for file in results/*.txt; do
+        name=$(basename "$file" .txt)
+        target/release/"$name" > "$SCRATCH/$name.out"
+        grep -v '^=== done in' "$SCRATCH/$name.out" > "$SCRATCH/$name.got" || true
+        grep -v '^=== done in' "$file" > "$SCRATCH/$name.want"
+        cmp -s "$SCRATCH/$name.want" "$SCRATCH/$name.got" || {
+            echo "target/release/$name no longer prints results/$name.txt:" >&2
+            diff "$SCRATCH/$name.want" "$SCRATCH/$name.got" >&2 || true
+            failed=1; }
+    done
+    [ "$failed" -eq 0 ] || exit 1
+    echo "results OK: $(ls results/*.txt | wc -l) experiment outputs match results/"
+}
 
 stage_eval() {
     cargo run --release -p nws-bench --bin eval_bench -- --quick --out BENCH_eval.json
@@ -69,7 +98,11 @@ stage_replay() {
         echo "replay is not deterministic for a fixed trace:" >&2
         diff "$SCRATCH/replay1.csv" "$SCRATCH/replay2.csv" >&2 || true
         exit 1; }
-    echo "replay smoke OK: $(pwd)/BENCH_replay.json (deterministic across runs)"
+    csv_sha256=$(sha256sum "$SCRATCH/replay1.csv" | cut -d' ' -f1)
+    [ "$csv_sha256" = "$REPLAY_CSV_SHA256" ] || {
+        echo "replay CSV sha256 $csv_sha256, committed $REPLAY_CSV_SHA256" >&2
+        exit 1; }
+    echo "replay smoke OK: $(pwd)/BENCH_replay.json (deterministic across runs, CSV as committed)"
     # Accuracy gates: oracle gap monotone as the budget shrinks, forecast
     # mode at least on par with reactive at equal budget, per-tick
     # re-solves track the oracle. Blocking in CI.
@@ -212,6 +245,8 @@ stage_serve() {
         || { echo "exposition lacks the shadow-cold latency histogram" >&2; exit 1; }
     grep -q '^persistence_degraded ' METRICS_serve.prom \
         || { echo "exposition lacks the persistence-degraded gauge" >&2; exit 1; }
+    grep -q '^sli_state ' METRICS_serve.prom \
+        || { echo "exposition lacks the SLI gauges" >&2; exit 1; }
     grep -q '^# span solve' METRICS_serve.prom \
         || { echo "exposition lacks the --trace span tree" >&2; exit 1; }
     # Shape: every sample is `name[{labels}] value`, and no name has two
@@ -281,9 +316,10 @@ stage_chaos_net() {
 SCRATCH=$(mktemp -d)
 trap 'rm -rf "$SCRATCH"' EXIT
 
-stages="${*:-eval replay serve-load wal serve chaos chaos-net}"
+stages="${*:-results eval replay serve-load wal serve chaos chaos-net}"
 for stage in $stages; do
     case "$stage" in
+        results)    stage_results ;;
         eval)       stage_eval ;;
         replay)     stage_replay ;;
         serve-load) stage_serve_load ;;
@@ -291,6 +327,6 @@ for stage in $stages; do
         serve)      stage_serve ;;
         chaos)      stage_chaos ;;
         chaos-net)  stage_chaos_net ;;
-        *) echo "unknown stage '$stage' (expected: eval replay serve-load wal serve chaos chaos-net)" >&2; exit 2 ;;
+        *) echo "unknown stage '$stage' (expected: results eval replay serve-load wal serve chaos chaos-net)" >&2; exit 2 ;;
     esac
 done
