@@ -18,7 +18,6 @@ use nws_core::scenarios::{
     janet_task, janet_task_on, BACKGROUND_SEED, BACKGROUND_TOTAL_PKTS_PER_SEC, PAPER_THETA,
 };
 use nws_core::{evaluate_accuracy, evaluate_rates, solve_placement, summarize, PlacementConfig};
-use nws_routing::failure::{bidirectional_pair, link_id_map, without_links};
 use nws_traffic::demand::DemandMatrix;
 use nws_traffic::MEASUREMENT_INTERVAL_SECS;
 
@@ -42,9 +41,7 @@ fn main() {
     let topo = before.topology();
     let fr = topo.require_node("FR").expect("FR");
     let lu = topo.require_node("LU").expect("LU");
-    let failed = bidirectional_pair(topo, fr, lu);
-    let topo_after = without_links(topo, &failed).expect("survivor valid");
-    let idmap = link_id_map(topo, &failed);
+    let topo_after = topo.without_links(&topo.bidirectional_pair(fr, lu));
 
     let background = DemandMatrix::gravity_capacity_weighted(
         &topo_after,
@@ -55,15 +52,10 @@ fn main() {
     let bg_loads = background.link_loads(&topo_after);
     let after = janet_task_on(topo_after, &bg_loads, PAPER_THETA).expect("post-failure task valid");
 
-    // 1. Stale configuration: carry the old per-link rates over (failed
-    //    links simply disappear along with their monitors).
-    let mut stale_rates = vec![0.0; after.topology().num_links()];
-    for (old_idx, new_id) in idmap.iter().enumerate() {
-        if let Some(new_id) = new_id {
-            stale_rates[new_id.index()] = sol_before.rates[old_idx];
-        }
-    }
-    let stale = evaluate_rates(&after, &stale_rates);
+    // 1. Stale configuration: the old per-link rates, as they are (the cut
+    //    links keep their ids but carry no traffic, so their monitors see
+    //    nothing).
+    let stale = evaluate_rates(&after, &sol_before.rates);
     let acc_stale = summarize(&evaluate_accuracy(&after, &stale, 20, 5));
 
     // 2. Re-optimized configuration.

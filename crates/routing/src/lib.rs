@@ -10,10 +10,13 @@
 //!   retaining the full equal-cost DAG, with path extraction and the ECMP
 //!   walk that splits a unit of traffic over it;
 //! * [`RoutingMatrix`] — the `|F| × |E|` matrix as sparse per-OD rows
-//!   (CSR), built with one SPF per OD source, plus link-load accumulation;
-//! * [`failure`] — link-failure what-if: clone a topology without some links
-//!   and recompute, modelling the re-routing events that motivate dynamic
-//!   monitor placement (paper §I).
+//!   (CSR), built with one SPF per OD source, plus link-load accumulation.
+//!
+//! A link failure — the re-routing event that motivates dynamic monitor
+//! placement (paper §I) — is routed on
+//! [`Topology::without_links`](nws_topo::Topology::without_links), whose cut
+//! links keep their ids: SPF never takes them, and rows and loads come out
+//! in the ids of the uncut topology.
 //!
 //! ```
 //! use nws_topo::geant;
@@ -37,7 +40,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod failure;
 mod matrix;
 mod path;
 mod spf;

@@ -550,4 +550,82 @@ mod tests {
         let f = fr.iter().find(|&&(l, _)| l == s_a1).unwrap().1;
         assert_eq!(f.to_bits(), ascending.to_bits());
     }
+
+    /// The lowest-link-id shortest path from `src` to `dst` as link labels,
+    /// with its cost; `None` if `dst` is unreachable.
+    fn route(t: &Topology, src: NodeId, dst: NodeId) -> Option<(Vec<String>, f64)> {
+        let spf = Spf::compute(t, src);
+        let links = spf.path_to(t, dst)?;
+        let labels = links.iter().map(|&l| t.link_label(l)).collect();
+        Some((labels, spf.distance(dst)?))
+    }
+
+    #[test]
+    fn failing_uk_se_reroutes_pl() {
+        let t = geant();
+        let uk = t.require_node("UK").unwrap();
+        let se = t.require_node("SE").unwrap();
+        let pl = t.require_node("PL").unwrap();
+        let janet = t.require_node("JANET").unwrap();
+
+        // Before: JANET->PL via UK-SE-PL.
+        let (before, before_cost) = route(&t, janet, pl).unwrap();
+        assert_eq!(before, ["JANET-UK", "UK-SE", "SE-PL"]);
+
+        // Cut the UK<->SE fibre: PL stays reachable, but not via the cut.
+        let cut = t.bidirectional_pair(uk, se);
+        assert_eq!(cut.len(), 2);
+        let t2 = t.without_links(&cut);
+        let (after, after_cost) = route(&t2, janet, pl).unwrap();
+        assert!(after_cost > before_cost);
+        assert!(
+            !after.iter().any(|l| l == "UK-SE"),
+            "rerouted path still uses the cut fibre: {after:?}"
+        );
+    }
+
+    #[test]
+    fn disconnected_survivor_graph_degrades_gracefully() {
+        let t = geant();
+        let uk = t.require_node("UK").unwrap();
+        let ie = t.require_node("IE").unwrap();
+        let janet = t.require_node("JANET").unwrap();
+        // IE is single-homed to UK; cutting the fibre splits the graph into
+        // a 22-node component and an isolated {IE}.
+        let t2 = t.without_links(&t.bidirectional_pair(uk, ie));
+        assert!(t2.validate_connected().is_err());
+
+        // Routing degrades per destination rather than failing wholesale:
+        // IE is unreachable from every other node ...
+        for src in t2.node_ids().filter(|&n| n != ie) {
+            assert!(
+                route(&t2, src, ie).is_none(),
+                "{} should not reach isolated IE",
+                t2.node(src).name()
+            );
+        }
+        // ... the isolated island cannot reach out ...
+        assert!(route(&t2, ie, janet).is_none());
+        // ... and every destination in the main component stays reachable.
+        for dst in t2.node_ids().filter(|&n| n != ie && n != janet) {
+            assert!(
+                route(&t2, janet, dst).is_some(),
+                "JANET lost {} although it is in the surviving component",
+                t2.node(dst).name()
+            );
+        }
+    }
+
+    #[test]
+    fn isolating_a_node_yields_unreachable_not_error() {
+        let t = geant();
+        let uk = t.require_node("UK").unwrap();
+        let ie = t.require_node("IE").unwrap();
+        let janet = t.require_node("JANET").unwrap();
+        // IE is single-homed to UK; cutting the fibre isolates it.
+        let t2 = t.without_links(&t.bidirectional_pair(uk, ie));
+        let spf = Spf::compute(&t2, janet);
+        assert_eq!(spf.distance(ie), None);
+        assert!(spf.path_to(&t2, ie).is_none());
+    }
 }

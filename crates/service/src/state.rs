@@ -5,11 +5,13 @@
 //! names, OD set, background loads, θ, α) from which the current
 //! [`MeasurementTask`] is rebuilt after every event. Keeping the spec — not
 //! the built task — as the source of truth is what makes link failures
-//! composable with every other event, while sampling rates are carried
-//! across epochs in *base-topology link indexing* and re-mapped through
-//! [`nws_routing::failure::link_id_map`].
+//! composable with every other event. There is one link-id space: an epoch
+//! routes on the base topology with its failed fibres cut
+//! ([`Topology::without_links`]), whose cut links keep their ids, so
+//! sampling rates, background loads and warm starts carry across epochs
+//! as they are.
 //!
-//! The expensive part of a rebuild — the post-failure topology, every SPF
+//! The expensive part of a rebuild — the cut topology, every SPF
 //! and the ECMP routing matrix — depends only on the failed fibres and the
 //! ordered OD endpoints, and traffic moves far more often than routing
 //! does. So a one-entry memo, shared by every clone of the state, keeps
@@ -32,7 +34,6 @@ use nws_core::{
     ACTIVATION_THRESHOLD,
 };
 use nws_obs::Recorder;
-use nws_routing::failure::{bidirectional_pair, link_id_map, without_links};
 use nws_routing::{OdPair, RoutingMatrix};
 use nws_topo::{LinkId, Topology};
 use std::collections::{HashMap, HashSet};
@@ -53,8 +54,9 @@ pub struct OdSpec {
     pub size: f64,
 }
 
-/// The currently installed sampling configuration, in base-topology link
-/// indexing (failed links carry rate 0).
+/// The currently installed sampling configuration. Its rates are indexed
+/// by the base topology's link ids, which every epoch shares; a link that
+/// was down when the installing solve ran carries rate 0.
 #[derive(Debug, Clone)]
 pub struct Installed {
     /// Sampling rate per base-topology link.
@@ -176,11 +178,11 @@ struct RoutingEpoch {
     failed: Vec<(String, String)>,
     /// `(src, dst)` node names per tracked OD, in tracking order.
     endpoints: Vec<(String, String)>,
-    /// The post-failure topology, shared with every task built over this
-    /// epoch (and with the base topology while no fibre is down).
+    /// The base topology with the failed fibres cut, shared with every
+    /// task built over this epoch (the base itself while no fibre is down).
     topo: Arc<Topology>,
-    /// Base link id → this epoch's link id (`None` for failed links).
-    idmap: Vec<Option<LinkId>>,
+    /// The failed fibres' links, both directions each.
+    cut: Vec<LinkId>,
     routing: RoutingMatrix,
 }
 
@@ -194,26 +196,6 @@ impl RoutingEpoch {
                 .iter()
                 .zip(&state.ods)
                 .all(|((src, dst), od)| *src == od.src && *dst == od.dst)
-    }
-
-    /// Per-link values in base indexing, carried into this epoch's link
-    /// indexing (failed links drop out).
-    fn to_epoch(&self, base: &[f64]) -> Vec<f64> {
-        let mut now = vec![0.0; self.topo.num_links()];
-        for (old, new) in self.idmap.iter().enumerate() {
-            if let Some(new) = new {
-                now[new.index()] = base[old];
-            }
-        }
-        now
-    }
-
-    /// The inverse of [`RoutingEpoch::to_epoch`]: failed links get 0.
-    fn to_base(&self, now: &[f64]) -> Vec<f64> {
-        self.idmap
-            .iter()
-            .map(|new| new.map_or(0.0, |new| now[new.index()]))
-            .collect()
     }
 }
 
@@ -248,7 +230,7 @@ pub struct ServiceState {
     failed: Vec<(String, String)>,
     ods: Vec<OdSpec>,
     /// Background (non-tracked) load per base-topology link. Background on
-    /// a failed link is dropped for the epoch, not rerouted — tracked
+    /// a failed link is zeroed for the epoch, not rerouted — tracked
     /// traffic, which the objective actually sees, *is* rerouted via the
     /// rebuilt routing matrix.
     background_base: Vec<f64>,
@@ -275,6 +257,29 @@ fn canonical_pair(a: &str, b: &str) -> (String, String) {
     } else {
         (b.to_string(), a.to_string())
     }
+}
+
+/// `fail_link`'s rules for the fibre between the nodes named `a` and `b`
+/// while the fibres in `failed` are down: both nodes exist, the fibre
+/// exists and it is not failed yet. Returns its canonical pair.
+fn fibre_to_fail(
+    base: &Topology,
+    failed: &[(String, String)],
+    a: &str,
+    b: &str,
+) -> Result<(String, String), String> {
+    let node = |name: &str| {
+        base.node_by_name(name)
+            .ok_or_else(|| format!("unknown node '{name}'"))
+    };
+    if base.bidirectional_pair(node(a)?, node(b)?).is_empty() {
+        return Err(format!("no fibre between '{a}' and '{b}'"));
+    }
+    let pair = canonical_pair(a, b);
+    if failed.contains(&pair) {
+        return Err(format!("fibre {a}–{b} is already failed"));
+    }
+    Ok(pair)
 }
 
 impl ServiceState {
@@ -413,7 +418,7 @@ impl ServiceState {
         for (a, b) in &self.failed {
             let na = self.require_node(a)?;
             let nb = self.require_node(b)?;
-            ids.extend(bidirectional_pair(&self.base, na, nb));
+            ids.extend(self.base.bidirectional_pair(na, nb));
         }
         Ok(ids)
     }
@@ -424,28 +429,22 @@ impl ServiceState {
             .ok_or_else(|| ServiceError::State(format!("unknown node '{name}'")))
     }
 
-    /// Routes the current spec from scratch: the post-failure topology,
-    /// the base→epoch link-id map and the ECMP routing matrix.
+    /// Routes the current spec from scratch: the cut topology and the
+    /// ECMP routing matrix on it.
     fn route(&self) -> Result<RoutingEpoch, ServiceError> {
         self.recorder.counter_add("state_routing_builds_total", 1);
-        let failed_ids = self.failed_link_ids()?;
-        let topo = if failed_ids.is_empty() {
+        let cut = self.failed_link_ids()?;
+        let topo = if cut.is_empty() {
             Arc::clone(&self.base)
         } else {
-            let survivors = without_links(&self.base, &failed_ids)
-                .map_err(|e| ServiceError::State(format!("post-failure topology invalid: {e}")))?;
-            Arc::new(survivors)
+            Arc::new(self.base.without_links(&cut))
         };
-        let idmap = link_id_map(&self.base, &failed_ids);
         let mut pairs = Vec::with_capacity(self.ods.len());
         for od in &self.ods {
-            let src = topo
-                .node_by_name(&od.src)
-                .ok_or_else(|| ServiceError::State(format!("unknown node '{}'", od.src)))?;
-            let dst = topo
-                .node_by_name(&od.dst)
-                .ok_or_else(|| ServiceError::State(format!("unknown node '{}'", od.dst)))?;
-            pairs.push(OdPair { src, dst });
+            pairs.push(OdPair {
+                src: self.require_node(&od.src)?,
+                dst: self.require_node(&od.dst)?,
+            });
         }
         let routing = RoutingMatrix::build(&topo, &pairs);
         Ok(RoutingEpoch {
@@ -456,7 +455,7 @@ impl ServiceState {
                 .map(|od| (od.src.clone(), od.dst.clone()))
                 .collect(),
             topo,
-            idmap,
+            cut,
             routing,
         })
     }
@@ -471,20 +470,24 @@ impl ServiceState {
             Some(epoch) => epoch,
             None => Arc::new(self.route()?),
         };
+        let mut background = self.background_base.clone();
+        for l in &epoch.cut {
+            background[l.index()] = 0.0;
+        }
         let mut builder = MeasurementTask::builder(Arc::clone(&epoch.topo));
         for (od, &pair) in self.ods.iter().zip(epoch.routing.ods()) {
             builder = builder.track(od.name.clone(), pair, od.size);
         }
         let task = builder
-            .background_loads(&epoch.to_epoch(&self.background_base))
+            .background_loads(&background)
             .theta(self.theta)
             .alpha(self.alpha)
             .build_with_routing(epoch.routing.clone())?;
         Ok((task, epoch))
     }
 
-    /// The current epoch's task and the installed rates in its link
-    /// indexing, as the network would run them: a plan that overspends θ
+    /// The current epoch's task and the installed rates as the network
+    /// would run them: a plan that overspends θ
     /// on the current loads (traffic grew since it was solved, or θ
     /// shrank) is scaled uniformly down to θ, since the routers cap
     /// sampling at the budget. A certified plan spends θ to rounding and
@@ -494,8 +497,8 @@ impl ServiceState {
             .installed
             .as_ref()
             .ok_or_else(|| ServiceError::State("no configuration installed yet".into()))?;
-        let (task, epoch) = self.rebuild()?;
-        let mut rates = epoch.to_epoch(&inst.rates_base);
+        let (task, _) = self.rebuild()?;
+        let mut rates = inst.rates_base.clone();
         let spend: f64 = rates
             .iter()
             .zip(task.link_loads())
@@ -546,20 +549,20 @@ impl ServiceState {
         let (task, epoch) = self.rebuild()?;
         self.memo.store(Arc::clone(&epoch));
         let prev_objective = self.installed.as_ref().map(|i| i.objective);
-        let warm_vec: Option<Vec<f64>> = self
-            .installed
-            .as_ref()
-            .map(|inst| epoch.to_epoch(&inst.rates_base));
+        let warm_started = self.installed.is_some();
 
         let t0 = Instant::now();
-        let mut sol = match &warm_vec {
-            Some(w) => {
-                solve_placement_warm_observed(&task, &self.budgeted_config(), w, &self.recorder)?
-            }
+        let mut sol = match &self.installed {
+            Some(inst) => solve_placement_warm_observed(
+                &task,
+                &self.budgeted_config(),
+                &inst.rates_base,
+                &self.recorder,
+            )?,
             None => solve_placement_observed(&task, &self.budgeted_config(), &self.recorder)?,
         };
         let mut fallback = None;
-        if sol.degraded.is_some() && warm_vec.is_some() {
+        if sol.degraded.is_some() && warm_started {
             // Escalation step 1: the warm start may simply have been a bad
             // starting basin for the budget; a cold solve gets a fresh
             // deadline before we give up on certifying this epoch.
@@ -579,7 +582,7 @@ impl ServiceState {
         }
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        let cold = if shadow && warm_vec.is_some() {
+        let cold = if shadow && warm_started {
             // The shadow solve is a benchmarking artifact: keep it out of
             // the solver/eval metrics so they describe installing solves.
             let t1 = Instant::now();
@@ -595,7 +598,7 @@ impl ServiceState {
 
         if !keep_last_good {
             self.installed = Some(Installed {
-                rates_base: epoch.to_base(&sol.rates),
+                rates_base: sol.rates,
                 objective: sol.objective,
                 lambda: sol.lambda,
                 active_monitors: sol.active_monitors.len(),
@@ -603,7 +606,7 @@ impl ServiceState {
             });
         }
         Ok(SolveReport {
-            warm_started: warm_vec.is_some(),
+            warm_started,
             iterations: sol.diagnostics.iterations,
             constraint_releases: sol.diagnostics.constraint_releases,
             kkt: sol.kkt_verified,
@@ -732,15 +735,8 @@ impl ServiceState {
                 Ok(())
             }
             Request::FailLink { a, b } => {
-                let na = self.require_node(a)?;
-                let nb = self.require_node(b)?;
-                if bidirectional_pair(&self.base, na, nb).is_empty() {
-                    return bad(format!("no fibre between '{a}' and '{b}'"));
-                }
-                let pair = canonical_pair(a, b);
-                if self.failed.contains(&pair) {
-                    return bad(format!("fibre {a}–{b} is already failed"));
-                }
+                let pair =
+                    fibre_to_fail(&self.base, &self.failed, a, b).map_err(ServiceError::State)?;
                 self.failed.push(pair);
                 Ok(())
             }
@@ -902,8 +898,9 @@ impl ServiceState {
 
     /// Restores the recoverable state from a [`ServiceState::persisted`]
     /// document, validating it against the *current* base topology (node
-    /// names must exist, rate vectors must match the link count, sizes and
-    /// θ must satisfy the protocol bounds). On error `self` is unchanged.
+    /// names must exist, each failed fibre must pass `fail_link`'s checks,
+    /// rate vectors must match the link count, sizes and θ must satisfy the
+    /// protocol bounds). On error `self` is unchanged.
     ///
     /// # Errors
     /// [`ServiceError::State`] describing the first schema violation.
@@ -1010,12 +1007,8 @@ fn failed_from_json(v: &Json, base: &Topology) -> Result<Vec<(String, String)>, 
             (Some(a), Some(b)) => (a, b),
             _ => return Err("fibre endpoints must be strings".into()),
         };
-        for name in [a, b] {
-            if base.node_by_name(name).is_none() {
-                return Err(format!("unknown node '{name}' in failed fibre"));
-            }
-        }
-        out.push(canonical_pair(a, b));
+        let pair = fibre_to_fail(base, &out, a, b)?;
+        out.push(pair);
     }
     Ok(out)
 }
@@ -1114,6 +1107,7 @@ fn installed_from_json(v: &Json, num_links: usize) -> Result<Option<Installed>, 
 mod tests {
     use super::*;
     use nws_core::scenarios::janet_task;
+    use nws_core::solve_placement_warm;
 
     fn fresh() -> ServiceState {
         let mut s = ServiceState::from_task(&janet_task(), PlacementConfig::default());
@@ -1303,9 +1297,11 @@ mod tests {
             .unwrap();
         // No re-solve: the installed plan now spends twice the budget, and
         // the network runs it at half rate.
-        let (task, epoch) = s.rebuild().unwrap();
-        let halved: Vec<f64> = epoch
-            .to_epoch(&s.installed().unwrap().rates_base)
+        let (task, _) = s.rebuild().unwrap();
+        let halved: Vec<f64> = s
+            .installed()
+            .unwrap()
+            .rates_base
             .iter()
             .map(|p| p / 2.0)
             .collect();
@@ -1352,6 +1348,126 @@ mod tests {
         assert!(report.kkt);
         assert!(s.failed_fibres().is_empty());
         assert!((s.installed().unwrap().objective - base_obj).abs() < 1e-6);
+    }
+
+    /// The renumbering model of a cut, kept as a reference: the survivors
+    /// of `cut` in a fresh topology with consecutive link ids, and each
+    /// base link's id there (`None` for cut links).
+    fn compacted(base: &Topology, cut: &[LinkId]) -> (Topology, Vec<Option<LinkId>>) {
+        let mut b = nws_topo::TopologyBuilder::new();
+        for n in base.node_ids() {
+            let node = base.node(n);
+            if node.is_external() {
+                b.external_node(node.name());
+            } else {
+                b.node(node.name());
+            }
+        }
+        let ids = base
+            .link_ids()
+            .map(|l| {
+                let k = base.link(l);
+                (!cut.contains(&l)).then(|| {
+                    b.link(
+                        k.src(),
+                        k.dst(),
+                        k.capacity_mbps(),
+                        k.igp_weight(),
+                        k.kind(),
+                    )
+                })
+            })
+            .collect();
+        (b.build().unwrap(), ids)
+    }
+
+    #[test]
+    fn a_cut_fibre_keeps_its_link_ids_through_fail_resolve_restore() {
+        let mut s = fresh();
+        let (pre_task, _) = s.rebuild().unwrap();
+        let pre_rates = s.installed().unwrap().rates_base.clone();
+        let fr = s.base.require_node("FR").unwrap();
+        let lu = s.base.require_node("LU").unwrap();
+        let cut = s.base.bidirectional_pair(fr, lu);
+        assert!(
+            cut.iter().any(|l| pre_rates[l.index()] > 0.0),
+            "FR-LU is monitored"
+        );
+
+        let report = s
+            .apply_event(
+                &Request::FailLink {
+                    a: "FR".into(),
+                    b: "LU".into(),
+                },
+                false,
+            )
+            .unwrap();
+        let (task, _) = s.rebuild().unwrap();
+        let rates = s.installed().unwrap().rates_base.clone();
+        assert_eq!(rates.len(), s.base.num_links());
+        for &l in &cut {
+            assert_eq!(rates[l.index()], 0.0);
+            assert_eq!(task.link_loads()[l.index()], 0.0);
+        }
+
+        // The reference renumbers: the same spec on the compacted survivor
+        // topology, background and warm start carried across by link id.
+        let (survivors, ids) = compacted(&s.base, &cut);
+        let carry = |v: &[f64]| {
+            let mut out = vec![0.0; survivors.num_links()];
+            for (l, id) in ids.iter().enumerate() {
+                if let Some(id) = id {
+                    out[id.index()] = v[l];
+                }
+            }
+            out
+        };
+        let mut builder = MeasurementTask::builder(survivors.clone());
+        for od in s.ods() {
+            let pair = OdPair::new(
+                survivors.require_node(&od.src).unwrap(),
+                survivors.require_node(&od.dst).unwrap(),
+            );
+            builder = builder.track(od.name.clone(), pair, od.size);
+        }
+        let reference = builder
+            .background_loads(&carry(&s.background_base))
+            .theta(s.theta)
+            .alpha(s.alpha)
+            .build()
+            .unwrap();
+        let want = solve_placement_warm(&reference, &s.config, &carry(&pre_rates)).unwrap();
+        assert_eq!(report.objective.to_bits(), want.objective.to_bits());
+        assert_eq!(report.iterations, want.diagnostics.iterations);
+        for l in s.base.link_ids() {
+            let expected = ids[l.index()].map_or(0.0, |id| want.rates[id.index()]);
+            assert_eq!(
+                rates[l.index()].to_bits(),
+                expected.to_bits(),
+                "{}",
+                s.base.link_label(l)
+            );
+        }
+
+        // Restoring puts the base task back, load for load, and re-solves
+        // it warm from the cut epoch's plan.
+        s.apply_event(
+            &Request::RestoreLink {
+                a: "LU".into(),
+                b: "FR".into(),
+            },
+            false,
+        )
+        .unwrap();
+        let (restored, _) = s.rebuild().unwrap();
+        for (a, b) in restored.link_loads().iter().zip(pre_task.link_loads()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let want = solve_placement_warm(&pre_task, &s.config, &rates).unwrap();
+        for (a, b) in s.installed().unwrap().rates_base.iter().zip(&want.rates) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
@@ -1579,28 +1695,44 @@ mod tests {
             }
             doc
         };
-        let cases: Vec<Json> =
-            vec![
-                corrupt(&|p| p.retain(|(k, _)| k != "version")),
-                corrupt(&|p| p[0].1 = Json::UInt(2)), // version 2
-                corrupt(&|p| p.iter_mut().find(|(k, _)| k == "theta").unwrap().1 = Json::Num(-1.0)),
-                corrupt(&|p| p.iter_mut().find(|(k, _)| k == "ods").unwrap().1 = Json::Arr(vec![])),
-                corrupt(&|p| {
-                    p.iter_mut().find(|(k, _)| k == "failed").unwrap().1 = Json::Arr(vec![
-                        Json::Arr(vec![Json::Str("NOPE".into()), Json::Str("UK".into())]),
-                    ])
-                }),
-                corrupt(&|p| {
-                    // Rate vector of the wrong length.
-                    p.iter_mut().find(|(k, _)| k == "installed").unwrap().1 = obj(vec![
-                        ("rates", Json::Arr(vec![Json::Num(0.5)])),
-                        ("objective", Json::Num(1.0)),
-                        ("lambda", Json::Num(1.0)),
-                        ("active_monitors", Json::UInt(1)),
-                        ("kkt", Json::Bool(true)),
-                    ])
-                }),
-            ];
+        let fibres = |list: &[(&str, &str)]| {
+            Json::Arr(
+                list.iter()
+                    .map(|(a, b)| {
+                        Json::Arr(vec![Json::Str(a.to_string()), Json::Str(b.to_string())])
+                    })
+                    .collect(),
+            )
+        };
+        let set_failed = |p: &mut Pairs, list: &[(&str, &str)]| {
+            p.iter_mut().find(|(k, _)| k == "failed").unwrap().1 = fibres(list);
+        };
+        // A snapshot frame: the good document's own spec with `failed`.
+        let frame = |list: &[(&str, &str)]| {
+            let mut frame = good.clone();
+            if let Json::Obj(pairs) = &mut frame {
+                pairs.retain(|(k, _)| ["ods", "theta", "installed"].contains(&k.as_str()));
+                pairs.push(("failed".into(), fibres(list)));
+            }
+            frame
+        };
+        let cases: Vec<Json> = vec![
+            corrupt(&|p| p.retain(|(k, _)| k != "version")),
+            corrupt(&|p| p[0].1 = Json::UInt(2)), // version 2
+            corrupt(&|p| p.iter_mut().find(|(k, _)| k == "theta").unwrap().1 = Json::Num(-1.0)),
+            corrupt(&|p| p.iter_mut().find(|(k, _)| k == "ods").unwrap().1 = Json::Arr(vec![])),
+            corrupt(&|p| set_failed(p, &[("NOPE", "UK")])),
+            corrupt(&|p| {
+                // Rate vector of the wrong length.
+                p.iter_mut().find(|(k, _)| k == "installed").unwrap().1 = obj(vec![
+                    ("rates", Json::Arr(vec![Json::Num(0.5)])),
+                    ("objective", Json::Num(1.0)),
+                    ("lambda", Json::Num(1.0)),
+                    ("active_monitors", Json::UInt(1)),
+                    ("kkt", Json::Bool(true)),
+                ])
+            }),
+        ];
         for doc in cases {
             assert!(
                 s.restore_persisted(&doc).is_err(),
@@ -1610,8 +1742,40 @@ mod tests {
             // A failed restore leaves the state untouched.
             assert!(s.installed().is_none());
         }
-        // The pristine document still restores.
+        // Cuts `fail_link` rejects are rejected with its messages, at the
+        // top level and in every stack frame.
+        let set_stack = |frames: Vec<Json>| {
+            corrupt(&move |p| {
+                p.iter_mut().find(|(k, _)| k == "stack").unwrap().1 = Json::Arr(frames.clone())
+            })
+        };
+        for (doc, message) in [
+            (
+                corrupt(&|p| set_failed(p, &[("UK", "FR"), ("FR", "UK")])),
+                "fibre FR–UK is already failed",
+            ),
+            (
+                corrupt(&|p| set_failed(p, &[("IE", "SK")])),
+                "no fibre between 'IE' and 'SK'",
+            ),
+            (
+                set_stack(vec![frame(&[("FR", "LU")]), frame(&[("IE", "SK")])]),
+                "stack[1]: no fibre between 'IE' and 'SK'",
+            ),
+            (
+                set_stack(vec![frame(&[("LU", "FR"), ("FR", "LU")])]),
+                "stack[0]: fibre FR–LU is already failed",
+            ),
+        ] {
+            let err = s.restore_persisted(&doc).unwrap_err();
+            assert_eq!(err.to_string(), format!("persisted state: {message}"));
+            assert!(s.installed().is_none());
+        }
+        // The pristine document still restores, and so does a valid stack.
         assert!(s.restore_persisted(&good).is_ok());
+        let stacked = set_stack(vec![frame(&[("FR", "LU"), ("UK", "SE")])]);
+        assert!(s.restore_persisted(&stacked).is_ok());
+        assert_eq!(s.snapshot_depth(), 1);
     }
 
     #[test]

@@ -122,6 +122,37 @@ impl Topology {
             .find(|&l| self.links[l.index()].dst() == dst)
     }
 
+    /// Both directions of the fibre between `a` and `b`, if present: the
+    /// links a fibre cut takes down.
+    pub fn bidirectional_pair(&self, a: NodeId, b: NodeId) -> Vec<LinkId> {
+        [self.link_between(a, b), self.link_between(b, a)]
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// A copy of this topology with the `cut` links taken out of service:
+    /// they keep their ids and metadata but leave the adjacency lists, so
+    /// routing never takes them and [`Topology::link_between`] no longer
+    /// finds them. Node and link ids, and so every per-link vector, mean
+    /// the same on both topologies. A copy on which some node can no
+    /// longer be reached is not an error: routing reports the
+    /// unreachable destinations, as a real network would.
+    pub fn without_links(&self, cut: &[LinkId]) -> Topology {
+        let surviving = |adj: &[Vec<LinkId>]| -> Vec<Vec<LinkId>> {
+            adj.iter()
+                .map(|links| links.iter().copied().filter(|l| !cut.contains(l)).collect())
+                .collect()
+        };
+        Topology {
+            nodes: self.nodes.clone(),
+            links: self.links.clone(),
+            by_name: self.by_name.clone(),
+            out_adj: surviving(&self.out_adj),
+            in_adj: surviving(&self.in_adj),
+        }
+    }
+
     /// Human-readable `"SRC-DST"` label of a link (e.g. `"UK-FR"`).
     pub fn link_label(&self, id: LinkId) -> String {
         let l = self.link(id);
@@ -281,5 +312,100 @@ mod tests {
             TopologyBuilder::new().build(),
             Err(TopologyError::Empty)
         ));
+    }
+
+    /// The out- and in-links of every node, in order.
+    fn adjacency_lists(t: &Topology) -> Vec<(Vec<LinkId>, Vec<LinkId>)> {
+        t.node_ids()
+            .map(|n| (t.out_links(n).collect(), t.in_links(n).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn cut_keeps_node_ids() {
+        let t = crate::geant();
+        let uk = t.require_node("UK").unwrap();
+        let fr = t.require_node("FR").unwrap();
+        let t2 = t.without_links(&t.bidirectional_pair(uk, fr));
+        assert_eq!(t2.num_nodes(), t.num_nodes());
+        for n in t.node_ids() {
+            assert_eq!(t2.require_node(t.node(n).name()).unwrap(), n);
+            assert_eq!(t2.node(n).is_external(), t.node(n).is_external());
+        }
+        let janet = t2.require_node("JANET").unwrap();
+        assert!(t2.node(janet).is_external());
+    }
+
+    #[test]
+    fn cut_keeps_link_ids() {
+        let t = crate::geant();
+        let uk = t.require_node("UK").unwrap();
+        let nl = t.require_node("NL").unwrap();
+        let cut = t.bidirectional_pair(uk, nl);
+        assert_eq!(cut.len(), 2);
+        let t2 = t.without_links(&cut);
+        // Every link, cut or not, keeps its id, label, weight and capacity.
+        assert_eq!(t2.num_links(), t.num_links());
+        for l in t.link_ids() {
+            assert_eq!(t2.link_label(l), t.link_label(l));
+            assert_eq!(t2.link(l).igp_weight(), t.link(l).igp_weight());
+            assert_eq!(t2.link(l).capacity_mbps(), t.link(l).capacity_mbps());
+        }
+    }
+
+    #[test]
+    fn cut_links_leave_the_adjacency_lists() {
+        let t = crate::geant();
+        let uk = t.require_node("UK").unwrap();
+        let fr = t.require_node("FR").unwrap();
+        let cut = t.bidirectional_pair(uk, fr);
+        let t2 = t.without_links(&cut);
+        assert!(t2.link_between(uk, fr).is_none());
+        assert!(t2.link_between(fr, uk).is_none());
+        assert!(t2.bidirectional_pair(uk, fr).is_empty());
+        // Every other link stays where it was, in the same order.
+        for (n, ((out, inn), (out2, in2))) in adjacency_lists(&t)
+            .into_iter()
+            .zip(adjacency_lists(&t2))
+            .enumerate()
+        {
+            let keep = |ls: Vec<LinkId>| -> Vec<LinkId> {
+                ls.into_iter().filter(|l| !cut.contains(l)).collect()
+            };
+            assert_eq!(out2, keep(out), "out-links of node {n}");
+            assert_eq!(in2, keep(inn), "in-links of node {n}");
+        }
+    }
+
+    #[test]
+    fn empty_cut_is_clone() {
+        let t = crate::geant();
+        let t2 = t.without_links(&[]);
+        assert_eq!(t2.num_links(), t.num_links());
+        assert_eq!(adjacency_lists(&t2), adjacency_lists(&t));
+    }
+
+    #[test]
+    fn successive_cuts_compose() {
+        // Cutting UK–SE, then FR–LU on the result, detaches the same links
+        // as cutting both at once.
+        let t = crate::geant();
+        let fibre = |t: &Topology, a: &str, b: &str| {
+            t.bidirectional_pair(t.require_node(a).unwrap(), t.require_node(b).unwrap())
+        };
+        let first = fibre(&t, "UK", "SE");
+        let t1 = t.without_links(&first);
+        let second = fibre(&t1, "FR", "LU");
+        assert_eq!(second, fibre(&t, "FR", "LU"), "ids survive the first cut");
+        let stepwise = t1.without_links(&second);
+        let at_once = t.without_links(&[first, second].concat());
+        assert_eq!(adjacency_lists(&stepwise), adjacency_lists(&at_once));
+        assert_eq!(
+            adjacency_lists(&at_once)
+                .iter()
+                .map(|(out, _)| out.len())
+                .sum::<usize>(),
+            t.num_links() - 4
+        );
     }
 }

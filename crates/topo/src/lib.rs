@@ -4,7 +4,10 @@
 //! the monitor-placement problem from Cantieni et al. (CoNEXT 2006):
 //!
 //! * [`Topology`] — PoP nodes and unidirectional capacitated links with IGP
-//!   weights, constant-time adjacency queries, and name-based lookup.
+//!   weights, constant-time adjacency queries, and name-based lookup;
+//!   [`Topology::without_links`] models a fibre cut (paper §I) as a copy
+//!   whose cut links keep their ids but leave the adjacency lists, so one
+//!   link-id space serves every failure epoch.
 //! * [`TopologyBuilder`] — fluent construction, including bidirectional link
 //!   pairs as found in real backbones.
 //! * [`geant`] — a GEANT-2004-like reference backbone (22 PoPs + one external

@@ -14,7 +14,6 @@ use nws_core::scenarios::{
     janet_task, janet_task_on, BACKGROUND_SEED, BACKGROUND_TOTAL_PKTS_PER_SEC, PAPER_THETA,
 };
 use nws_core::{evaluate_rates, solve_placement, PlacementConfig};
-use nws_routing::failure::{bidirectional_pair, link_id_map, without_links};
 use nws_routing::Spf;
 use nws_traffic::demand::DemandMatrix;
 use nws_traffic::MEASUREMENT_INTERVAL_SECS;
@@ -37,14 +36,12 @@ fn main() {
     let topo = before.topology();
     let fr = topo.require_node("FR").expect("FR");
     let lu = topo.require_node("LU").expect("LU");
-    let failed = bidirectional_pair(topo, fr, lu);
-    let topo2 = without_links(topo, &failed).expect("still connected enough");
-    let janet2 = topo2.require_node("JANET").expect("JANET");
-    let lu2 = topo2.require_node("LU").expect("LU");
-    let new_path = Spf::compute(&topo2, janet2)
-        .path_to(&topo2, lu2)
+    let topo2 = topo.without_links(&topo.bidirectional_pair(fr, lu));
+    let janet = topo2.require_node("JANET").expect("JANET");
+    let new_path = Spf::compute(&topo2, janet)
+        .path_to(&topo2, lu)
         .expect("LU reachable");
-    let hops: Vec<&str> = std::iter::once(janet2)
+    let hops: Vec<&str> = std::iter::once(janet)
         .chain(new_path.iter().map(|&l| topo2.link(l).dst()))
         .map(|n| topo2.node(n).name())
         .collect();
@@ -63,15 +60,9 @@ fn main() {
     let bg_loads = bg.link_loads(&topo2);
     let after = janet_task_on(topo2, &bg_loads, PAPER_THETA).expect("valid task");
 
-    // Stale rates: keep yesterday's configuration running.
-    let idmap = link_id_map(topo, &failed);
-    let mut stale_rates = vec![0.0; after.topology().num_links()];
-    for (old, new) in idmap.iter().enumerate() {
-        if let Some(new) = new {
-            stale_rates[new.index()] = sol.rates[old];
-        }
-    }
-    let stale = evaluate_rates(&after, &stale_rates);
+    // Stale rates: keep yesterday's configuration running. The cut links
+    // keep their ids, so the rate vector carries over as it is.
+    let stale = evaluate_rates(&after, &sol.rates);
     println!(
         "stale configuration: JANET-LU effective rate {:.6}, utility {:.4}  <- stale!",
         stale.effective_rates_approx[lu_index], stale.utilities[lu_index]

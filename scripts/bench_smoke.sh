@@ -8,7 +8,9 @@
 #
 #   results  the reproduced outputs, pinned: every experiment binary
 #          (target/release/<name>, no arguments) must print its committed
-#          results/<name>.txt, apart from the `=== done in` footer.
+#          results/<name>.txt, apart from the `=== done in` footer, and
+#          `chaos_net --quick` must write a report byte-identical to the
+#          committed BENCH_chaos_net.json.
 #   eval   objective-evaluation micro-benchmark (--quick) producing
 #          BENCH_eval.json, then scripts/check_bench.py enforcing the
 #          blocking perf gates (obs overhead <= 1.05, every solver and warm
@@ -68,8 +70,16 @@ stage_results() {
             diff "$SCRATCH/$name.want" "$SCRATCH/$name.got" >&2 || true
             failed=1; }
     done
+    # The chaos-net report carries only deterministic invariants (the
+    # chaos-net stage checks that across runs), so it is pinned too.
+    target/release/chaos_net --quick --out "$SCRATCH/chaos_net.json" > /dev/null
+    cmp -s BENCH_chaos_net.json "$SCRATCH/chaos_net.json" || {
+        echo "chaos_net --quick no longer writes BENCH_chaos_net.json:" >&2
+        diff BENCH_chaos_net.json "$SCRATCH/chaos_net.json" >&2 || true
+        failed=1; }
     [ "$failed" -eq 0 ] || exit 1
-    echo "results OK: $(ls results/*.txt | wc -l) experiment outputs match results/"
+    echo "results OK: $(ls results/*.txt | wc -l) experiment outputs match results/," \
+        "chaos_net report matches BENCH_chaos_net.json"
 }
 
 stage_eval() {
